@@ -11,9 +11,10 @@
 //!   printouts (Figs. 3–4), score sweeps (Figs. 6, 8, 9), the Adult experiment
 //!   (Fig. 10), and the Binomial experiments (Figs. 11–13).
 //! * [`table`] — fixed-width text tables for the figure binaries.
-//! * [`par`] — a small `std::thread` worker pool; the figure sweeps fan their
-//!   independent `(n, α, property-set)` LP solves across it (`CPM_THREADS`
-//!   pins the pool size, `CPM_THREADS=1` recovers serial execution).
+//! * [`par`] — a persistent worker pool; the figure sweeps fan their
+//!   independent `(n, α, property-set)` LP solves across it, and the serving
+//!   engine its sampling shards (`CPM_THREADS` pins the worker count,
+//!   `CPM_THREADS=1` recovers serial execution).
 //!
 //! The `cpm-bench` crate contains one binary per figure that calls into this crate
 //! and prints the corresponding series (plus optional JSON output).

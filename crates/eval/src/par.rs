@@ -1,35 +1,63 @@
-//! A minimal `std::thread` worker pool for embarrassingly parallel sweeps.
+//! A minimal worker pool for embarrassingly parallel sweeps and batches.
 //!
 //! The figure binaries and probes solve many independent `(n, α, property-set)`
-//! LPs; [`parallel_map`] fans them out over a scoped worker pool with
-//! work-stealing by atomic index — no ordering requirements on task cost, no
-//! dependencies beyond `std`.  Results come back in input order, and a panic in
-//! any task propagates to the caller (via the scoped-thread join), so error
-//! handling with `Result` items behaves exactly as in the serial loop it
-//! replaces.
+//! LPs, and the serving engine shards a batch's draws; [`parallel_map`] fans
+//! either out with work-stealing by atomic index — no ordering requirements
+//! on task cost, no dependencies beyond `std` and the workspace's
+//! [`cpm_sys::pool`].  Results come back in input order, and a panic in any
+//! task propagates to the caller, so error handling with `Result` items
+//! behaves exactly as in the serial loop it replaces.
 //!
-//! The pool size defaults to the machine's available parallelism and can be
-//! pinned with the `CPM_THREADS` environment variable (`CPM_THREADS=1` recovers
-//! fully serial execution, e.g. for clean per-task timing).
+//! Fixed costs are kept off the per-call path, because the serving engine
+//! calls this once per privatize batch, most of which are a single draw:
+//!
+//! * A map over at most one item runs inline and never asks how many
+//!   workers there are.
+//! * The machine's available parallelism is read once per process and
+//!   cached (`std::thread::available_parallelism` reads cgroup files on
+//!   Linux, tens of µs a call).
+//! * The `CPM_THREADS` environment variable is read on every call, so it can
+//!   be changed at runtime (the serving probe's thread sweep does this).
+//!   When set and positive it pins the worker count; `CPM_THREADS=1`
+//!   recovers fully serial execution, e.g. for clean per-task timing.
+//! * Multi-task maps run on one persistent, lazily started, process-wide
+//!   pool ([`cpm_sys::pool::broadcast`]) instead of spawning threads per
+//!   call.  The calling thread runs tasks too, so a map with `w` workers
+//!   wakes `w - 1` pool threads.  Concurrent maps each get their own
+//!   `w - 1` pool threads, as they would with scoped threads; the pool
+//!   only starts threads when that many are not already free.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
-/// Number of worker threads to use: `CPM_THREADS` when set and positive,
-/// otherwise [`std::thread::available_parallelism`], never more than `tasks`.
+/// [`std::thread::available_parallelism`], read once per process.
+fn available_parallelism() -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Number of worker threads to use: `CPM_THREADS` when set and positive
+/// (read on every call), otherwise the machine's available parallelism
+/// (read once per process), never more than `tasks`.
 pub fn worker_count(tasks: usize) -> usize {
+    #[cfg(test)]
+    tests::WORKER_COUNT_CALLS.with(|calls| calls.set(calls.get() + 1));
     let configured = std::env::var("CPM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&t| t > 0);
-    let available = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    configured.unwrap_or(available).max(1).min(tasks.max(1))
+    configured
+        .unwrap_or_else(available_parallelism)
+        .max(1)
+        .min(tasks.max(1))
 }
 
-/// Apply `f` to every item on a small worker pool, returning the results in
-/// input order.
+/// Apply `f` to every item on the shared worker pool, returning the results
+/// in input order.
 ///
 /// Tasks are claimed by atomic counter, so long and short tasks interleave
 /// without static partitioning — exactly what the LP sweeps need, where solve
@@ -41,42 +69,33 @@ where
     F: Fn(T) -> R + Sync,
 {
     let tasks = items.len();
-    let workers = worker_count(tasks);
-    if workers <= 1 || tasks <= 1 {
+    let workers = if tasks <= 1 { 1 } else { worker_count(tasks) };
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
 
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let f = &f;
-    let slots = &slots;
-    let results = &results;
-    let next = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("task slot poisoned")
-                    .take()
-                    .expect("task claimed twice");
-                let result = f(item);
-                *results[i].lock().expect("result slot poisoned") = Some(result);
-            });
+    cpm_sys::pool::broadcast(workers - 1, &|| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= tasks {
+            break;
         }
+        let item = slots[i]
+            .lock()
+            .expect("task slot poisoned")
+            .take()
+            .expect("task claimed twice");
+        let result = f(item);
+        *results[i].lock().expect("result slot poisoned") = Some(result);
     });
     results
-        .iter()
+        .into_iter()
         .map(|slot| {
-            slot.lock()
+            slot.into_inner()
                 .expect("result slot poisoned")
-                .take()
-                .expect("worker completed every claimed task")
+                .expect("every task completed")
         })
         .collect()
 }
@@ -98,6 +117,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls to [`worker_count`] made on this thread.
+        pub(super) static WORKER_COUNT_CALLS: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn maps_in_order_regardless_of_task_cost() {
@@ -140,5 +165,32 @@ mod tests {
         let empty: Vec<i32> = Vec::new();
         assert!(parallel_map(empty, |x: i32| x).is_empty());
         assert_eq!(parallel_map(vec![9], |x| x + 1), vec![10]);
+    }
+
+    #[test]
+    fn single_item_maps_never_reach_worker_count() {
+        let calls = || WORKER_COUNT_CALLS.with(Cell::get);
+        let before = calls();
+        assert_eq!(parallel_map(vec![9], |x| x + 1), vec![10]);
+        assert_eq!(
+            parallel_map(Vec::<i32>::new(), |x| x + 1),
+            Vec::<i32>::new()
+        );
+        assert_eq!(
+            calls(),
+            before,
+            "a lone task must not ask for a worker count"
+        );
+        assert_eq!(parallel_map(vec![1, 2], |x| x + 1), vec![2, 3]);
+        assert_eq!(calls(), before + 1, "two tasks do ask");
+    }
+
+    #[test]
+    fn nested_maps_complete_and_keep_order() {
+        let out = parallel_map((0..8).collect::<Vec<usize>>(), |i| {
+            parallel_map((0..8).collect::<Vec<usize>>(), |j| i * 8 + j)
+        });
+        let flat: Vec<usize> = out.into_iter().flatten().collect();
+        assert_eq!(flat, (0..64).collect::<Vec<_>>());
     }
 }

@@ -259,17 +259,7 @@ impl Engine {
             }
         }
 
-        // Group request indices by key, preserving first-appearance order so the
-        // chunk layout (and with it every RNG stream) is deterministic.
-        let mut group_of: HashMap<SpecKey, usize> = HashMap::new();
-        let mut groups: Vec<(SpecKey, Vec<u32>)> = Vec::new();
-        for (index, request) in requests.iter().enumerate() {
-            let slot = *group_of.entry(request.key).or_insert_with(|| {
-                groups.push((request.key, Vec::new()));
-                groups.len() - 1
-            });
-            groups[slot].1.push(index as u32);
-        }
+        let groups = group_by_key(requests);
 
         // Design phase: a serial peek sweep satisfies resident keys without
         // touching the worker pool (a warm batch is pure lock-and-look); only
@@ -323,12 +313,11 @@ impl Engine {
         // dedicated RNG stream per shard.  The chunk layout depends only on the
         // batch contents and `min_chunk` — NOT on the worker count — so outputs
         // are identical whether the pool has 1 thread or 64.
-        let chunk_len = self.min_chunk;
-        let mut tasks: Vec<(Arc<DesignedMechanism>, Vec<u32>, u64)> = Vec::new();
-        for ((_, indices), (design, _)) in groups.into_iter().zip(resolved) {
-            for chunk in indices.chunks(chunk_len) {
+        let mut tasks: Vec<(&DesignedMechanism, &[u32], u64)> = Vec::new();
+        for ((_, indices), (design, _)) in groups.iter().zip(&resolved) {
+            for chunk in indices.chunks(self.min_chunk) {
                 let stream = tasks.len() as u64;
-                tasks.push((Arc::clone(&design), chunk.to_vec(), stream));
+                tasks.push((design, chunk, stream));
             }
         }
         stats.sample_chunks = tasks.len();
@@ -342,24 +331,20 @@ impl Engine {
             let mut rng = StdRng::seed_from_u64(splitmix64(
                 batch_seed ^ (stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
-            let outputs: Vec<(u32, usize)> = indices
-                .into_iter()
-                .map(|index| {
-                    let drawn = design
-                        .alias_sampler()
-                        .sample(requests[index as usize].input, &mut rng);
-                    (index, drawn)
-                })
+            let sampler = design.alias_sampler();
+            let drawn: Vec<usize> = indices
+                .iter()
+                .map(|&index| sampler.sample(requests[index as usize].input, &mut rng))
                 .collect();
             cpm_obs::histogram!("cpm_engine_chunk_nanos").record_duration(chunk_start.elapsed());
-            outputs
+            (indices, drawn)
         });
         stats.sample_time = sample_start.elapsed();
 
         let mut outputs = vec![0usize; requests.len()];
-        for chunk in chunk_outputs {
-            for (index, drawn) in chunk {
-                outputs[index as usize] = drawn;
+        for (indices, drawn) in chunk_outputs {
+            for (&index, output) in indices.iter().zip(drawn) {
+                outputs[index as usize] = output;
             }
         }
 
@@ -385,6 +370,30 @@ impl Engine {
         cpm_obs::histogram!("cpm_engine_draws_per_sec").record(stats.draws_per_sec() as u64);
         Ok(BatchOutcome { outputs, stats })
     }
+}
+
+/// Group request indices by key in one pass, in order of each key's first
+/// appearance: the chunk layout, and with it every RNG stream, follows this
+/// order.  A request with the same key as the one before it joins that group
+/// without a lookup, so a single-key batch (every wire privatize op) hashes
+/// its key once rather than once per input.
+fn group_by_key(requests: &[Request]) -> Vec<(SpecKey, Vec<u32>)> {
+    let mut slot_of: HashMap<SpecKey, usize> = HashMap::new();
+    let mut groups: Vec<(SpecKey, Vec<u32>)> = Vec::new();
+    let mut current = 0;
+    for (index, request) in requests.iter().enumerate() {
+        if groups
+            .get(current)
+            .is_none_or(|(run_key, _)| *run_key != request.key)
+        {
+            current = *slot_of.entry(request.key).or_insert_with(|| {
+                groups.push((request.key, Vec::new()));
+                groups.len() - 1
+            });
+        }
+        groups[current].1.push(index as u32);
+    }
+    groups
 }
 
 /// SplitMix64: decorrelate nearby seeds before they reach xoshiro's SplitMix
@@ -449,6 +458,34 @@ mod tests {
         let outcome = engine.privatize_batch(&requests).unwrap();
         assert_eq!(outcome.stats.cache_hits, 2);
         assert_eq!(outcome.stats.cache_misses, 0);
+    }
+
+    #[test]
+    fn run_detected_grouping_matches_per_input_hash_grouping() {
+        // Reference: the obvious hash-map grouping in first-appearance order.
+        fn reference(requests: &[Request]) -> Vec<(SpecKey, Vec<u32>)> {
+            let mut slot_of: HashMap<SpecKey, usize> = HashMap::new();
+            let mut groups: Vec<(SpecKey, Vec<u32>)> = Vec::new();
+            for (index, request) in requests.iter().enumerate() {
+                let slot = *slot_of.entry(request.key).or_insert_with(|| {
+                    groups.push((request.key, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[slot].1.push(index as u32);
+            }
+            groups
+        }
+        for distinct in [1, 2, 16, 48] {
+            // Runs of varying length over keys revisited out of order.
+            let requests: Vec<Request> = (0..2000)
+                .map(|i| Request::new(key(2 + (i * 7 / 5 + i / 13) % distinct, 0.5), 0))
+                .collect();
+            assert_eq!(
+                group_by_key(&requests),
+                reference(&requests),
+                "{distinct} keys"
+            );
+        }
     }
 
     #[test]

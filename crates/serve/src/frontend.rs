@@ -258,26 +258,12 @@ fn failure(message: String) -> WireResponse {
 /// the request is translated to a [`crate::proto::Op`] and dispatched exactly
 /// as its binary-codec twin would be.
 pub fn dispatch(engine: &Engine, request: &WireRequest) -> (WireResponse, bool) {
-    // The request counter fires on entry so the `metrics` op's own scrape
-    // already includes it; latency is recorded after the work (op translation
-    // included — a malformed key costs wire time too).
-    let op = crate::proto::normalized_op(request.op.as_str());
-    if cpm_obs::enabled() {
-        cpm_obs::registry()
-            .counter(&format!("cpm_wire_requests_total{{op=\"{op}\"}}"))
-            .inc();
-    }
-    let op_started = std::time::Instant::now();
-    let outcome = match crate::proto::op_from_request(request) {
+    // Latency covers op translation too: a malformed key costs wire time.
+    let label = crate::proto::normalized_op(&request.op);
+    crate::proto::metered(label, || match crate::proto::op_from_request(request) {
         Ok(op) => crate::proto::dispatch_inner(engine, &op),
         Err(message) => (failure(message), false),
-    };
-    if cpm_obs::enabled() {
-        cpm_obs::registry()
-            .histogram(&format!("cpm_wire_op_nanos{{op=\"{op}\"}}"))
-            .record_duration(op_started.elapsed());
-    }
-    outcome
+    })
 }
 
 /// Serve frames until EOF or a `shutdown` op.  One bad frame (malformed JSON,

@@ -133,7 +133,8 @@ trait Acceptor: Send + 'static {
     fn accept_conn(&self) -> io::Result<Self::Conn>;
     fn shutdown_conn(conn: &Self::Conn);
     fn set_listener_nonblocking(&self) -> io::Result<()>;
-    fn set_conn_nonblocking(conn: &Self::Conn) -> io::Result<()>;
+    /// Make an accepted connection nonblocking (plus any per-socket options).
+    fn configure_conn(conn: &Self::Conn) -> io::Result<()>;
     fn listener_fd(&self) -> RawFd;
 }
 
@@ -152,8 +153,12 @@ impl Acceptor for TcpListener {
         self.set_nonblocking(true)
     }
 
-    fn set_conn_nonblocking(conn: &TcpStream) -> io::Result<()> {
-        conn.set_nonblocking(true)
+    /// Accepted sockets also get `TCP_NODELAY`: every response is one small
+    /// write, and with Nagle on, a connection can fall into lockstep with the
+    /// peer's delayed ACK, which adds a delayed-ACK timeout to each response.
+    fn configure_conn(conn: &TcpStream) -> io::Result<()> {
+        conn.set_nonblocking(true)?;
+        conn.set_nodelay(true)
     }
 
     fn listener_fd(&self) -> RawFd {
@@ -176,7 +181,7 @@ impl Acceptor for std::os::unix::net::UnixListener {
         self.set_nonblocking(true)
     }
 
-    fn set_conn_nonblocking(conn: &Self::Conn) -> io::Result<()> {
+    fn configure_conn(conn: &Self::Conn) -> io::Result<()> {
         conn.set_nonblocking(true)
     }
 
@@ -570,7 +575,7 @@ impl<A: Acceptor> Reactor<A> {
                 accept.backoff_until = Some(now + ACCEPT_BACKOFF);
                 return;
             }
-            if let Err(error) = A::set_conn_nonblocking(&conn) {
+            if let Err(error) = A::configure_conn(&conn) {
                 eprintln!("cpm-serve: configuring connection failed: {error}");
                 continue;
             }

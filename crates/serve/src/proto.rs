@@ -54,6 +54,7 @@
 //! stays up.
 
 use std::io;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
@@ -141,6 +142,19 @@ pub enum Op {
     /// Close this connection (after acknowledging).
     Shutdown,
 }
+
+/// The closed metric label set (`cpm_wire_requests_total{op=...}`): every
+/// [`Op::label`] and every [`normalized_op`] result.
+const OP_LABELS: [&str; 8] = [
+    "privatize",
+    "warm",
+    "report",
+    "estimate",
+    "stats",
+    "metrics",
+    "shutdown",
+    "other",
+];
 
 impl Op {
     /// The closed metric label set (`cpm_wire_requests_total{op=...}`).
@@ -484,24 +498,52 @@ fn ingest_reports_capped(engine: &Engine, reports: &[cpm_collect::Report]) -> Wi
     }
 }
 
-/// Process one decoded [`Op`] against the engine, with the standard metric
-/// discipline (request counter on entry, latency histogram after the work).
-/// Returns the response and whether the connection should close.
-pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
-    let label = op.label();
+/// One op label's wire metrics: `cpm_wire_requests_total{op=..}` and
+/// `cpm_wire_op_nanos{op=..}`.
+struct OpMetrics {
+    requests: &'static cpm_obs::Counter,
+    nanos: &'static cpm_obs::Histogram,
+}
+
+/// The metric handles for a label of [`OP_LABELS`], resolved in the
+/// registry on the label's first use and cached for every later request.
+/// Resolving lazily keeps unseen ops out of the exposition.
+fn op_metrics(label: &'static str) -> &'static OpMetrics {
+    static TABLE: [OnceLock<OpMetrics>; OP_LABELS.len()] =
+        [const { OnceLock::new() }; OP_LABELS.len()];
+    let slot = OP_LABELS
+        .iter()
+        .position(|&known| known == label)
+        .expect("wire op labels come from OP_LABELS");
+    TABLE[slot].get_or_init(|| {
+        let registry = cpm_obs::registry();
+        OpMetrics {
+            requests: registry.counter(&format!("cpm_wire_requests_total{{op=\"{label}\"}}")),
+            nanos: registry.histogram(&format!("cpm_wire_op_nanos{{op=\"{label}\"}}")),
+        }
+    })
+}
+
+/// Run `work` under the wire metric discipline of one op label: the
+/// request counter fires on entry (so the `metrics` op's own scrape already
+/// includes it), the latency histogram after the work.
+pub(crate) fn metered<T>(label: &'static str, work: impl FnOnce() -> T) -> T {
     if cpm_obs::enabled() {
-        cpm_obs::registry()
-            .counter(&format!("cpm_wire_requests_total{{op=\"{label}\"}}"))
-            .inc();
+        op_metrics(label).requests.inc();
     }
-    let op_started = Instant::now();
-    let outcome = dispatch_inner(engine, op);
+    let started = Instant::now();
+    let outcome = work();
     if cpm_obs::enabled() {
-        cpm_obs::registry()
-            .histogram(&format!("cpm_wire_op_nanos{{op=\"{label}\"}}"))
-            .record_duration(op_started.elapsed());
+        op_metrics(label).nanos.record_duration(started.elapsed());
     }
     outcome
+}
+
+/// Process one decoded [`Op`] against the engine, with the standard metric
+/// discipline (see `metered`).  Returns the response and whether the
+/// connection should close.
+pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
+    metered(op.label(), || dispatch_inner(engine, op))
 }
 
 pub(crate) fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
@@ -972,28 +1014,18 @@ impl ProtoConnection {
     /// JSON `report` op's metric discipline (counted on entry, even when the
     /// batch turns out malformed — preserved from the pre-reactor front end).
     fn process_report_frame(&mut self, engine: &Engine, payload: &[u8]) -> WireResponse {
-        if cpm_obs::enabled() {
-            cpm_obs::registry()
-                .counter("cpm_wire_requests_total{op=\"report\"}")
-                .inc();
-        }
-        let op_started = Instant::now();
-        let response = match cpm_collect::wire::decode_batch(payload) {
-            Ok(reports) => match self.rate_limit(reports.len()) {
-                Some(refused) => refused,
-                None => ingest_reports_capped(engine, &reports),
-            },
-            Err(error) => {
-                cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
-                failure(format!("malformed report frame: {error}"))
+        metered("report", || {
+            match cpm_collect::wire::decode_batch(payload) {
+                Ok(reports) => match self.rate_limit(reports.len()) {
+                    Some(refused) => refused,
+                    None => ingest_reports_capped(engine, &reports),
+                },
+                Err(error) => {
+                    cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
+                    failure(format!("malformed report frame: {error}"))
+                }
             }
-        };
-        if cpm_obs::enabled() {
-            cpm_obs::registry()
-                .histogram("cpm_wire_op_nanos{op=\"report\"}")
-                .record_duration(op_started.elapsed());
-        }
-        response
+        })
     }
 
     fn rate_limit_op(&mut self, op: &Op) -> Option<WireResponse> {
@@ -1283,6 +1315,49 @@ mod tests {
         truncated.extend_from_slice(b"abc");
         conn.ingest(&engine, &truncated).unwrap();
         assert_eq!(conn.finish(), Err(ProtoError::TruncatedInput));
+    }
+
+    #[test]
+    fn op_metric_handles_are_the_registry_series_for_each_label() {
+        // The two label sources name exactly the closed set.
+        for label in OP_LABELS {
+            assert_eq!(normalized_op(label), label);
+        }
+        assert_eq!(normalized_op(""), "privatize");
+        assert_eq!(normalized_op("no such op"), "other");
+        let key = SpecKey::with_objective(
+            16,
+            Alpha::new(0.7).unwrap(),
+            PropertySet::empty(),
+            ObjectiveKey::L0Beyond(2),
+        );
+        let ops = [
+            Op::Privatize {
+                key,
+                inputs: vec![0],
+            },
+            Op::Warm { key },
+            Op::Report {
+                key,
+                outputs: vec![1],
+            },
+            Op::ReportBatch(Vec::new()),
+            Op::Estimate { key },
+            Op::Stats,
+            Op::Metrics,
+            Op::Shutdown,
+        ];
+        for op in ops {
+            assert_eq!(normalized_op(op.label()), op.label());
+        }
+        for label in OP_LABELS {
+            let registry = cpm_obs::registry();
+            let handles = op_metrics(label);
+            let requests = registry.counter(&format!("cpm_wire_requests_total{{op=\"{label}\"}}"));
+            let nanos = registry.histogram(&format!("cpm_wire_op_nanos{{op=\"{label}\"}}"));
+            assert!(std::ptr::eq(handles.requests, requests), "{label}");
+            assert!(std::ptr::eq(handles.nanos, nanos), "{label}");
+        }
     }
 
     #[test]

@@ -120,3 +120,53 @@ fn the_listener_outlives_individual_connection_shutdowns() {
     let summary = server.stop();
     assert_eq!(summary.connections, 2);
 }
+
+/// Every accepted socket gets `TCP_NODELAY`.  The option lives on the server's
+/// end of the connection, and client and server share this process, so the
+/// test finds that end among the process's descriptors and reads it back.
+#[cfg(target_os = "linux")]
+#[test]
+fn accepted_connections_have_tcp_nodelay_set() {
+    use std::mem::ManuallyDrop;
+    use std::os::fd::{FromRawFd, RawFd};
+
+    let engine = Arc::new(Engine::with_defaults());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let server = Server::tcp(Arc::clone(&engine), listener).unwrap();
+    let addr = server.local_addr().unwrap();
+    let mut client = TcpStream::connect(addr).unwrap();
+    // One round trip proves the reactor has accepted and registered the socket.
+    assert!(roundtrip(&mut client, r#"{"op": "stats"}"#).ok);
+    let client_addr = client.local_addr().unwrap();
+
+    let mut server_ends = 0;
+    for entry in std::fs::read_dir("/proc/self/fd").unwrap() {
+        let name = entry.unwrap().file_name();
+        let Ok(fd) = name.to_string_lossy().parse::<RawFd>() else {
+            continue;
+        };
+        let is_socket = std::fs::read_link(format!("/proc/self/fd/{fd}"))
+            .is_ok_and(|target| target.to_string_lossy().starts_with("socket:"));
+        if !is_socket {
+            continue;
+        }
+        // SAFETY: the stream only borrows the descriptor for two getsockname
+        // calls and a getsockopt; `ManuallyDrop` never closes it, so its
+        // owner (the server, or another test) keeps sole ownership.
+        let socket = ManuallyDrop::new(unsafe { TcpStream::from_raw_fd(fd) });
+        if socket.local_addr().ok() == Some(addr) && socket.peer_addr().ok() == Some(client_addr) {
+            assert!(
+                socket.nodelay().unwrap(),
+                "accepted socket lacks TCP_NODELAY"
+            );
+            server_ends += 1;
+        }
+    }
+    assert_eq!(
+        server_ends, 1,
+        "the server's end of the connection was not found"
+    );
+
+    drop(client);
+    server.stop();
+}
