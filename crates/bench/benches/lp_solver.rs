@@ -1,66 +1,30 @@
-//! Criterion bench: building and solving the constrained mechanism-design LPs,
-//! comparing the sparse revised-simplex backend against the dense tableau.
+//! Criterion bench: building and solving the constrained mechanism-design LPs
+//! on the production solver route.
 //!
 //! The paper reports that solving its LPs is "negligible (sub-second)" at paper
 //! scale (n ≤ ~20); this bench verifies the same holds for this reproduction and
-//! measures how far each backend scales.  The dense tableau pays `O(rows · cols)`
-//! per pivot, which becomes prohibitive beyond `n ≈ 32` (at `n = 32` the BASICDP
-//! LP already has ~2k rows × ~3k columns); it is therefore benched only up to
-//! `DENSE_MAX_N`, while the sparse backend runs across the full sweep.
+//! measures how far the solver scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use cpm_core::prelude::*;
-use cpm_simplex::{SolveOptions, SolverBackend};
+use cpm_simplex::SolveOptions;
 
 /// Group sizes swept by the build benchmark.
 const SWEEP: [usize; 5] = [8, 16, 32, 64, 128];
-/// Group sizes the backends are asked to *solve*.  A single sparse n = 128 solve
-/// runs for many minutes (see ROADMAP: sparse LU + Devex are the planned fixes),
-/// so the solve comparison stops at 64.
+/// Group sizes the solver is asked to *solve*.
 const SOLVE_SWEEP: [usize; 4] = [8, 16, 32, 64];
-/// Largest group size the dense tableau is asked to solve (beyond this a single
-/// solve takes minutes and the comparison stops being informative).
-const DENSE_MAX_N: usize = 32;
 
-fn options(backend: SolverBackend) -> SolveOptions {
-    SolveOptions {
-        backend,
-        max_iterations: 5_000_000,
-        ..SolveOptions::default()
-    }
-}
-
-fn bench_backend_comparison(c: &mut Criterion) {
+fn bench_unconstrained_solves(c: &mut Criterion) {
     let alpha = Alpha::new(0.9).unwrap();
-    let mut group = c.benchmark_group("lp_solve_backends");
+    let mut group = c.benchmark_group("lp_solve_unconstrained");
     group.sample_size(10);
     for &n in &SOLVE_SWEEP {
         let problem = DesignProblem::unconstrained(n, alpha, Objective::l0());
-        group.bench_with_input(
-            BenchmarkId::new("unconstrained_l0/sparse_revised", n),
-            &n,
-            |b, _| {
-                b.iter(|| {
-                    problem
-                        .solve_with(&options(SolverBackend::SparseRevised))
-                        .expect("sparse solve")
-                })
-            },
-        );
-        if n <= DENSE_MAX_N {
-            group.bench_with_input(
-                BenchmarkId::new("unconstrained_l0/dense_tableau", n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        problem
-                            .solve_with(&options(SolverBackend::DenseTableau))
-                            .expect("dense solve")
-                    })
-                },
-            );
-        }
+        let options = SolveOptions::tuned((n + 1) * (n + 1)).with_max_iterations(5_000_000);
+        group.bench_with_input(BenchmarkId::new("unconstrained_l0", n), &n, |b, _| {
+            b.iter(|| problem.solve_with(&options).expect("unconstrained solve"))
+        });
     }
     group.finish();
 }
@@ -94,7 +58,7 @@ fn bench_lp_build_only(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_backend_comparison,
+    bench_unconstrained_solves,
     bench_constrained_solves,
     bench_lp_build_only
 );

@@ -1,18 +1,15 @@
-//! Scaling probe: time one BASICDP solve per backend and group size, printing the
-//! wall-clock, pivot counts, factorisation/update/repair counts, and LP
-//! dimensions.  Quicker and more informative for tuning than the statistical
-//! Criterion bench; `--full` extends the sweep to n = 128 (sparse backend only —
-//! a dense solve at that size would take hours).
+//! Scaling probe: time one BASICDP solve per group size on the production
+//! solver route, printing the wall-clock, pivot counts,
+//! factorisation/update/repair counts, and LP dimensions.  Quicker and more
+//! informative for tuning than the statistical Criterion bench; `--full`
+//! extends the sweep to n = 128.
 //!
-//! The independent `(n, backend)` solves run on the [`cpm_eval::par`] worker
-//! pool; per-solve wall-clocks are still measured inside each task, so set
-//! `CPM_THREADS=1` for contention-free timings when comparing runs.  The
-//! refactorisation cadence can be overridden with the `CPM_REFACTOR`
-//! environment variable, the pricing rule with
-//! `CPM_PRICING=dantzig|devex|steepest`, the LP form with
-//! `CPM_FORM=auto|primal|dual` (default `auto`, which takes the dual on the
-//! tall mechanism LPs), the closed-form crash seed with `CPM_CRASH=0`
-//! (disable, for cold-walk ablations), and the sweep itself with
+//! The independent solves run on the [`cpm_eval::par`] worker pool; per-solve
+//! wall-clocks are still measured inside each task, so set `CPM_THREADS=1` for
+//! contention-free timings when comparing runs.  The LP form can be overridden
+//! with `CPM_FORM=auto|primal|dual` (default `auto`, which takes the dual on
+//! the tall mechanism LPs), the closed-form crash seed with `CPM_CRASH=0`
+//! (disable, for cold-walk measurements), and the sweep itself with
 //! `CPM_SWEEP=64,128` (comma-separated group sizes).
 
 use std::time::Instant;
@@ -20,10 +17,7 @@ use std::time::Instant;
 use cpm_bench::cli::FigureOptions;
 use cpm_core::prelude::*;
 use cpm_eval::par::parallel_map;
-use cpm_simplex::{LpForm, PricingRule, SolveOptions, SolverBackend};
-
-/// Largest group size the dense tableau is asked to solve.
-const DENSE_MAX_N: usize = 32;
+use cpm_simplex::{LpForm, SolveOptions};
 
 fn main() {
     let options = FigureOptions::from_env();
@@ -53,15 +47,6 @@ fn main() {
         }
         Err(_) => default_sweep(),
     };
-    let refactor_interval: Option<usize> = std::env::var("CPM_REFACTOR")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let pricing = match std::env::var("CPM_PRICING").as_deref() {
-        Ok("dantzig") => Some(PricingRule::Dantzig),
-        Ok("devex") => Some(PricingRule::Devex),
-        Ok("steepest") => Some(PricingRule::SteepestEdge),
-        _ => None,
-    };
     let form = match std::env::var("CPM_FORM").as_deref() {
         Ok("primal") => Some(LpForm::Primal),
         Ok("dual") => Some(LpForm::Dual),
@@ -70,42 +55,24 @@ fn main() {
     };
     let crash = !matches!(std::env::var("CPM_CRASH").as_deref(), Ok("0") | Ok("off"));
 
-    let tasks: Vec<(usize, SolverBackend)> = sweep
-        .iter()
-        .flat_map(|&n| {
-            [SolverBackend::SparseRevised, SolverBackend::DenseTableau]
-                .into_iter()
-                .filter(move |&backend| backend == SolverBackend::SparseRevised || n <= DENSE_MAX_N)
-                .map(move |backend| (n, backend))
-        })
-        .collect();
-
-    let workers = cpm_eval::par::worker_count(tasks.len());
+    let workers = cpm_eval::par::worker_count(sweep.len());
     if workers > 1 {
         eprintln!(
             "note: running {} solves on {workers} workers — per-solve timings are \
              contended; set CPM_THREADS=1 for clean comparisons",
-            tasks.len()
+            sweep.len()
         );
     }
     println!(
-        "n | backend | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | updates | repairs | objective"
+        "n | form | rows x cols | terms | solve | phase1+phase2 pivots | factors | updates | repairs | objective"
     );
-    let rows = parallel_map(tasks, |(n, backend)| {
+    let rows = parallel_map(sweep, |n| {
         let problem =
             DesignProblem::unconstrained(n, alpha, Objective::l0()).with_crash_seed(crash);
         let (lp, _) = problem.build_lp().unwrap();
-        // Start from the per-size tuning (`tuned` picks steepest edge and
-        // `LpForm::Auto`), then layer the env overrides through the builders.
-        let mut solve_options = SolveOptions::tuned((n + 1) * (n + 1))
-            .with_backend(backend)
-            .with_max_iterations(5_000_000);
-        if let Some(interval) = refactor_interval {
-            solve_options = solve_options.with_refactor_interval(interval);
-        }
-        if let Some(rule) = pricing {
-            solve_options = solve_options.with_pricing(rule);
-        }
+        // Start from the production options, then layer the env overrides.
+        let mut solve_options =
+            SolveOptions::tuned((n + 1) * (n + 1)).with_max_iterations(5_000_000);
         if let Some(form) = form {
             solve_options = solve_options.with_form(form);
         }
@@ -115,7 +82,7 @@ fn main() {
                 let elapsed = start.elapsed();
                 let stats = solution.solver_stats;
                 format!(
-                    "{n:4} | {backend} | {} | {}x{} | {} | {elapsed:10.2?} | {}+{} | {} | {} | {} | {:.9}",
+                    "{n:4} | {} | {}x{} | {} | {elapsed:10.2?} | {}+{} | {} | {} | {} | {:.9}",
                     stats.form,
                     lp.num_constraints(),
                     lp.num_variables(),
@@ -130,7 +97,7 @@ fn main() {
             }
             Err(error) => {
                 format!(
-                    "{n:4} | {backend} | solve failed after {:.2?}: {error}",
+                    "{n:4} | solve failed after {:.2?}: {error}",
                     start.elapsed()
                 )
             }

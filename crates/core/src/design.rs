@@ -20,13 +20,13 @@
 //! ```
 //!
 //! * [`MechanismSpec`] is a validated builder over everything that determines a
-//!   design: `n`, `α`, the requested [`PropertySet`], an [`ObjectiveKey`], the
-//!   property-check tolerance, and optional solver overrides.  It has a
-//!   canonical serde form and projects to a bit-exact, hashable [`SpecKey`].
+//!   design: `n`, `α`, the requested [`PropertySet`], an [`ObjectiveKey`], and
+//!   the property-check tolerance.  It has a canonical serde form and projects
+//!   to a bit-exact, hashable [`SpecKey`].
 //! * [`SpecKey`] is the cache identity of a design: `(n, bit-exact α via
-//!   [`AlphaKey`], properties, objective)`.  Tolerance and solver overrides are
-//!   deliberately excluded — they tune *how* a design is computed and checked,
-//!   not *which* distribution it denotes.
+//!   [`AlphaKey`], properties, objective)`.  The tolerance is deliberately
+//!   excluded — it tunes *how* a design is checked, not *which* distribution
+//!   it denotes.
 //! * [`DesignedMechanism`] is the finished artifact: the matrix, the Figure-5
 //!   [`MechanismChoice`] provenance, the solver statistics when an LP ran, the
 //!   achieved [`PropertyReport`], the rescaled-`L0` score, and lazily-built
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{SolveOptions, SolveStats};
+use cpm_simplex::SolveStats;
 
 use crate::alpha::{Alpha, AlphaKey};
 use crate::error::CoreError;
@@ -202,7 +202,6 @@ pub struct MechanismSpec {
     properties: PropertySet,
     objective: ObjectiveKey,
     tolerance: f64,
-    solver: Option<SolveOptions>,
     /// Transient warm-start hint: an α-neighbour's optimal LP basis (see
     /// [`DesignedMechanism::optimal_basis`]).  A *hint*, not part of what the
     /// spec denotes — excluded from equality and from the serde form, and
@@ -220,14 +219,14 @@ impl PartialEq for MechanismSpec {
             && self.properties == other.properties
             && self.objective == other.objective
             && self.tolerance == other.tolerance
-            && self.solver == other.solver
     }
 }
 
 impl MechanismSpec {
     /// Start a spec for group size `n` at privacy level `alpha`, with no
-    /// requested properties, the paper's `L0` objective, the default property
-    /// tolerance, and per-problem recommended solver options.
+    /// requested properties, the paper's `L0` objective, and the default
+    /// property tolerance.  Each LP the design runs is solved with its own
+    /// [`DesignProblem::recommended_options`].
     pub fn new(n: usize, alpha: Alpha) -> Self {
         MechanismSpec {
             n,
@@ -235,7 +234,6 @@ impl MechanismSpec {
             properties: PropertySet::empty(),
             objective: ObjectiveKey::L0,
             tolerance: DEFAULT_PROPERTY_TOLERANCE,
-            solver: None,
             warm_basis: None,
         }
     }
@@ -265,14 +263,6 @@ impl MechanismSpec {
     #[must_use]
     pub fn tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Override the simplex options (default: each LP picks its own size-scaled
-    /// [`DesignProblem::recommended_options`]).
-    #[must_use]
-    pub fn solver(mut self, options: SolveOptions) -> Self {
-        self.solver = Some(options);
         self
     }
 
@@ -343,18 +333,13 @@ impl MechanismSpec {
         self.tolerance
     }
 
-    /// The solver override, if any.
-    pub fn solver_options(&self) -> Option<&SolveOptions> {
-        self.solver.as_ref()
-    }
-
     /// The warm-start hint, if any (see [`MechanismSpec::warm_start`]).
     pub fn warm_start_hint(&self) -> Option<&[usize]> {
         self.warm_basis.as_deref()
     }
 
-    /// The bit-exact cache key of this spec (tolerance and solver overrides are
-    /// excluded — see [`SpecKey`]).
+    /// The bit-exact cache key of this spec (the tolerance is excluded — see
+    /// [`SpecKey`]).
     pub fn key(&self) -> SpecKey {
         SpecKey::with_objective(self.n, self.alpha, self.properties, self.objective)
     }
@@ -373,7 +358,6 @@ impl MechanismSpec {
                     choice,
                     self.n,
                     self.alpha,
-                    self.solver.as_ref(),
                     self.warm_basis.as_deref(),
                 )?;
                 (Some(choice), mechanism, stats, basis)
@@ -386,10 +370,7 @@ impl MechanismSpec {
                     self.properties.closure(),
                 )
                 .with_warm_basis(self.warm_basis.clone());
-                let solution = match &self.solver {
-                    Some(options) => problem.solve_with(options)?,
-                    None => problem.solve()?,
-                };
+                let solution = problem.solve()?;
                 (
                     None,
                     solution.mechanism,
@@ -407,16 +388,10 @@ impl MechanismSpec {
         }
         let report = PropertyReport::evaluate(&mechanism, self.tolerance);
         let score = rescaled_l0(&mechanism);
-        // The stored spec drops the transient warm-start hint — including one
-        // smuggled in through the solver override — so the artifact records
-        // what was designed, not how its solve was seeded (and the serde form
-        // must not balloon with stale bases).
-        let mut stored = self.clone().warm_start(None);
-        if let Some(solver) = &mut stored.solver {
-            solver.warm_basis = None;
-        }
+        // The stored spec drops the transient warm-start hint, so the artifact
+        // records what was designed, not how its solve was seeded.
         Ok(DesignedMechanism {
-            spec: stored,
+            spec: self.clone().warm_start(None),
             choice,
             mechanism,
             solver_stats,
@@ -438,20 +413,20 @@ impl fmt::Display for MechanismSpec {
 }
 
 impl Serialize for MechanismSpec {
-    /// Canonical form: the [`SpecKey`] fields plus `tolerance` and `solver`.
+    /// Canonical form: the [`SpecKey`] fields plus `tolerance`.
     fn to_value(&self) -> serde::Value {
         let serde::Value::Object(mut pairs) = self.key().to_value() else {
             unreachable!("SpecKey serialises to an object");
         };
         pairs.push(("tolerance".to_string(), self.tolerance.to_value()));
-        pairs.push(("solver".to_string(), self.solver.to_value()));
         serde::Value::Object(pairs)
     }
 }
 
 impl Deserialize for MechanismSpec {
     /// Validates on the way in: a malformed spec is a deserialisation error,
-    /// never a live `MechanismSpec`.
+    /// never a live `MechanismSpec`.  Snapshots written before the solver
+    /// override was removed carry a `"solver"` key; it is ignored.
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let key = SpecKey::from_value(value)?;
         let pairs = serde::as_object(value, "MechanismSpec")?;
@@ -459,15 +434,9 @@ impl Deserialize for MechanismSpec {
             Some(raw) => f64::from_value(raw)?,
             None => DEFAULT_PROPERTY_TOLERANCE,
         };
-        let solver = match serde::object_get(pairs, "solver") {
-            Some(raw) => Option::<SolveOptions>::from_value(raw)?,
-            None => None,
-        };
-        let mut spec = key.spec().tolerance(tolerance);
-        if let Some(options) = solver {
-            spec = spec.solver(options);
-        }
-        spec.build()
+        key.spec()
+            .tolerance(tolerance)
+            .build()
             .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }

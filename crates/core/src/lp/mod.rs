@@ -7,8 +7,6 @@
 
 pub mod formulation;
 
-#[allow(deprecated)]
-pub use formulation::weak_honest_mechanism;
 pub use formulation::{
     optimal_constrained, optimal_unconstrained, wm_properties, DesignProblem, DesignSolution,
 };

@@ -15,13 +15,11 @@
 //! [`select_mechanism`] reproduces this decision procedure.  Building the chosen
 //! mechanism is the job of the typed design path —
 //! [`crate::design::MechanismSpec::design`] — which selects here and realises
-//! the choice (solving an LP when required).  The free functions [`realize`],
-//! [`realize_with_stats`], and [`design_for_properties`] are deprecated shims
-//! over that path.
+//! the choice (solving an LP when required).
 
 use serde::{Deserialize, Serialize};
 
-use cpm_simplex::{SolveOptions, SolveStats};
+use cpm_simplex::SolveStats;
 
 use crate::alpha::Alpha;
 use crate::closed_form;
@@ -98,69 +96,29 @@ pub fn select_mechanism(requested: PropertySet, n: usize, alpha: Alpha) -> Mecha
     MechanismChoice::Geometric
 }
 
-/// Build the actual mechanism for a [`MechanismChoice`], solving the relevant LP when
-/// the choice is one of the two LP-defined mechanisms.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::new(n, alpha).properties(…).build()?.design()?` \
-            (see `cpm_core::design`); `realize_choice` semantics live on behind \
-            `MechanismSpec::design`"
-)]
-pub fn realize(
-    choice: MechanismChoice,
-    n: usize,
-    alpha: Alpha,
-    options: &SolveOptions,
-) -> Result<Mechanism, CoreError> {
-    realize_choice(choice, n, alpha, Some(options), None).map(|(mechanism, _, _)| mechanism)
-}
-
-/// [`realize`], additionally reporting the simplex statistics when the choice
-/// required an LP solve (`None` for the closed-form constructions).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::…design()?`, which returns a `DesignedMechanism` \
-            carrying the mechanism, the choice, and the solver statistics together"
-)]
-pub fn realize_with_stats(
-    choice: MechanismChoice,
-    n: usize,
-    alpha: Alpha,
-    options: Option<&SolveOptions>,
-) -> Result<(Mechanism, Option<SolveStats>), CoreError> {
-    realize_choice(choice, n, alpha, options, None).map(|(m, stats, _)| (m, stats))
-}
-
 /// A realised choice: the matrix, the LP statistics when the simplex ran, and
 /// the LP's optimal basis when one was reported.
 pub(crate) type Realized = (Mechanism, Option<SolveStats>, Option<Vec<usize>>);
 
 /// Materialise one [`MechanismChoice`]: closed forms for GM/EM/UM, the
-/// (symmetrised) LP optimum for the two LP-defined choices.
-///
-/// `options: None` lets each LP pick its own size-scaled
-/// [`crate::lp::DesignProblem::recommended_options`] — the right default for
-/// callers (such as a design cache) that serve arbitrary `(n, α)` pairs rather
-/// than one known problem size.  `warm_basis` seeds the LP solve from an
-/// α-neighbour's optimal basis when the choice requires the simplex (closed
-/// forms ignore it; a seed that does not fit the chosen LP falls back to the
-/// cold path inside the solver).  This is the single realisation routine
-/// behind [`crate::design::MechanismSpec::design`] and the deprecated free
-/// functions.  The third return slot is the LP's optimal basis, when one ran.
+/// (symmetrised) LP optimum for the two LP-defined choices, each LP solved
+/// with its own size-scaled
+/// [`crate::lp::DesignProblem::recommended_options`].  `warm_basis` seeds
+/// the LP solve from an α-neighbour's optimal basis when the choice requires
+/// the simplex (closed forms ignore it; a seed that does not fit the chosen
+/// LP falls back to the cold path inside the solver).  This is the single realisation routine
+/// behind [`crate::design::MechanismSpec::design`].  The third return slot is
+/// the LP's optimal basis, when one ran.
 pub(crate) fn realize_choice(
     choice: MechanismChoice,
     n: usize,
     alpha: Alpha,
-    options: Option<&SolveOptions>,
     warm_basis: Option<&[usize]>,
 ) -> Result<Realized, CoreError> {
     let solve_lp = |properties: PropertySet| -> Result<Realized, CoreError> {
-        let problem = crate::lp::DesignProblem::constrained(n, alpha, Objective::l0(), properties)
-            .with_warm_basis(warm_basis.map(|b| b.to_vec()));
-        let solution = match options {
-            Some(options) => problem.solve_with(options)?,
-            None => problem.solve()?,
-        };
+        let solution = crate::lp::DesignProblem::constrained(n, alpha, Objective::l0(), properties)
+            .with_warm_basis(warm_basis.map(|b| b.to_vec()))
+            .solve()?;
         Ok((
             crate::symmetrize::symmetrize(&solution.mechanism),
             Some(solution.solver_stats),
@@ -191,27 +149,6 @@ pub(crate) fn realize_choice(
                 .with(Property::Symmetry),
         ),
     }
-}
-
-/// Convenience wrapper: select per Figure 5 and build the mechanism in one call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `MechanismSpec::new(n, alpha).properties(requested).build()?.design()?`, \
-            whose `DesignedMechanism` carries the choice, matrix, stats, and report"
-)]
-pub fn design_for_properties(
-    requested: PropertySet,
-    n: usize,
-    alpha: Alpha,
-) -> Result<(MechanismChoice, Mechanism), CoreError> {
-    let designed = crate::design::MechanismSpec::new(n, alpha)
-        .properties(requested)
-        .build()?
-        .design()?;
-    let choice = designed
-        .choice()
-        .expect("L0 designs always route through the flowchart");
-    Ok((choice, designed.into_mechanism()))
 }
 
 #[cfg(test)]
@@ -365,52 +302,17 @@ mod tests {
     fn realize_choice_reports_lp_statistics_only_for_lp_choices() {
         let alpha = a(0.9);
         let (gm, stats, basis) =
-            realize_choice(MechanismChoice::Geometric, 6, alpha, None, None).unwrap();
+            realize_choice(MechanismChoice::Geometric, 6, alpha, None).unwrap();
         assert!(stats.is_none(), "GM is closed-form, no LP solve");
         assert!(basis.is_none(), "no LP, no basis");
         assert!(gm.satisfies_dp(alpha, 1e-9));
 
-        let (wm, stats, basis) = realize_choice(
-            MechanismChoice::WeakHonestColumnMonotoneLp,
-            4,
-            alpha,
-            None,
-            None,
-        )
-        .unwrap();
+        let (wm, stats, basis) =
+            realize_choice(MechanismChoice::WeakHonestColumnMonotoneLp, 4, alpha, None).unwrap();
         let stats = stats.expect("WM requires an LP solve");
         assert!(stats.phase1_iterations + stats.phase2_iterations > 0);
         assert!(basis.is_some(), "an LP choice reports its optimal basis");
         assert!(wm.satisfies_dp(alpha, 1e-6));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_to_the_typed_design_path() {
-        let alpha = a(0.9);
-        // realize / realize_with_stats produce the same matrix as realize_choice.
-        let direct = realize(
-            MechanismChoice::WeakHonestColumnMonotoneLp,
-            4,
-            alpha,
-            &SolveOptions::default(),
-        )
-        .unwrap();
-        let (wm, stats) =
-            realize_with_stats(MechanismChoice::WeakHonestColumnMonotoneLp, 4, alpha, None)
-                .unwrap();
-        assert!(stats.is_some());
-        for i in 0..wm.dim() {
-            for j in 0..wm.dim() {
-                assert!((wm.prob(i, j) - direct.prob(i, j)).abs() < 1e-9);
-            }
-        }
-        // design_for_properties is now a shim over MechanismSpec: bit-for-bit equal.
-        let requested = set(&[Property::ColumnMonotonicity]);
-        let (old_choice, old) = design_for_properties(requested, 4, alpha).unwrap();
-        let (new_choice, new) = design(requested, 4, alpha);
-        assert_eq!(old_choice, new_choice);
-        assert_eq!(old.entries(), new.entries());
     }
 
     #[test]

@@ -361,7 +361,9 @@ mod tests {
             Alpha::new(0.5).unwrap(),
             PropertySet::empty(),
         );
-        engine.collector().ingest_batch(&oversized, std::iter::once(0));
+        engine
+            .collector()
+            .ingest_batch(&oversized, std::iter::once(0));
         let good = SpecKey::new(4, Alpha::new(0.5).unwrap(), PropertySet::empty());
         engine
             .collector()

@@ -40,15 +40,6 @@ use cpm_core::{DesignedMechanism, ObjectiveKey, PropertySet, SpecKey};
 
 use crate::error::ServeError;
 
-/// The old name of the cached artifact.
-#[deprecated(
-    since = "0.1.0",
-    note = "the cache now stores `cpm_core::DesignedMechanism` (accessors instead \
-            of public fields: `mechanism()`, `choice()`, `solver_stats()`, \
-            `alias_sampler()`, `design_time()`)"
-)]
-pub type Design = DesignedMechanism;
-
 /// How a lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {

@@ -4,18 +4,9 @@
 //! lives in the core crate as [`cpm_core::SpecKey`] — the bit-exact projection
 //! of a [`cpm_core::MechanismSpec`] — so the cache, the wire front end, and the
 //! offline design path all agree on what identifies a design.  This module
-//! re-exports it (plus [`cpm_core::ObjectiveKey`]) and keeps a deprecated alias
-//! for the old name.
+//! re-exports it (plus [`cpm_core::ObjectiveKey`]).
 
 pub use cpm_core::{ObjectiveKey, SpecKey};
-
-/// The old name of the serving cache key.
-#[deprecated(
-    since = "0.1.0",
-    note = "the key type moved to the core crate; use `cpm_core::SpecKey` \
-            (same fields, same constructors)"
-)]
-pub type MechanismKey = SpecKey;
 
 #[cfg(test)]
 mod tests {
@@ -31,8 +22,5 @@ mod tests {
         let key = SpecKey::with_objective(8, alpha, properties, ObjectiveKey::L1);
         let spec = key.spec().build().unwrap();
         assert_eq!(spec.key(), key);
-        #[allow(deprecated)]
-        let legacy: MechanismKey = key;
-        assert_eq!(legacy, key);
     }
 }

@@ -8,11 +8,14 @@
 //!
 //! * ≥1k concurrent connections served in-process by a reactor sized to
 //!   exactly two worker threads (the thread census proves concurrency is
-//!   bounded by file descriptors, not threads);
+//!   bounded by file descriptors, not threads).  The census reads only the
+//!   threads that appeared after its baseline, by name, so the other test's
+//!   threads and libtest's own do not disturb it when both share a process;
 //! * 10k idle connections held open against a real `serve_tcp` process that
 //!   stays responsive and keeps a flat thread count — the ISSUE's 10k-idle
 //!   acceptance demo.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -23,7 +26,7 @@ use cpm_serve::net::NetConfig;
 use cpm_serve::prelude::*;
 use cpm_serve::proto::{self, Op, ProtoConfig};
 
-/// Threads currently alive in this process (`/proc/self/status`).
+/// Threads currently alive in process `pid` (`/proc/<pid>/status`).
 fn thread_count_of(pid: &str) -> usize {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("procfs status");
     status
@@ -33,6 +36,64 @@ fn thread_count_of(pid: &str) -> usize {
         .trim()
         .parse()
         .expect("thread count parses")
+}
+
+/// `(task id, comm)` of every thread alive in this process
+/// (`/proc/self/task/*/comm`).  A thread that exits mid-scan is skipped.
+fn threads_of_self() -> Vec<(String, String)> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs task list")
+        .filter_map(|entry| {
+            let entry = entry.ok()?;
+            let comm = std::fs::read_to_string(entry.path().join("comm")).ok()?;
+            let tid = entry.file_name().to_string_lossy().into_owned();
+            Some((tid, comm.trim_end().to_string()))
+        })
+        .collect()
+}
+
+/// The names of the threads that appeared since `baseline`, after checking
+/// that none of them is left with an unnamed thread's comm.  Linux copies a
+/// new thread's comm from the thread that spawned it, so an unnamed spawn
+/// shows up as the process's main comm or the spawning test thread's comm.
+/// A named thread sets its own comm once it starts running, so the census
+/// gives fresh threads a moment to do that before calling one unnamed.
+fn new_thread_names(baseline: &HashSet<String>) -> Vec<String> {
+    let read = |path: &str| {
+        std::fs::read_to_string(path)
+            .expect("procfs comm")
+            .trim_end()
+            .to_string()
+    };
+    let unnamed = [read("/proc/self/comm"), read("/proc/thread-self/comm")];
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let names: Vec<String> = threads_of_self()
+            .into_iter()
+            .filter(|(tid, _)| !baseline.contains(tid))
+            .map(|(_, comm)| comm)
+            .collect();
+        if !names.iter().any(|name| unnamed.contains(name)) {
+            return names;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "a new thread is left with the unnamed comm of {unnamed:?}: {names:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Of the threads new since `baseline`, the ones the server crates started
+/// (every server thread is named `cpm-*`).  Named threads of other tests and
+/// of libtest are ignored; unnamed ones fail the census.
+fn new_server_threads(baseline: &HashSet<String>) -> Vec<String> {
+    let mut names: Vec<String> = new_thread_names(baseline)
+        .into_iter()
+        .filter(|name| name.starts_with("cpm-"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// Length-prefix one payload.
@@ -81,7 +142,7 @@ fn a_thousand_concurrent_connections_ride_two_worker_threads() {
     const CONNS: usize = 1_000;
     const WORKERS: usize = 2;
 
-    let threads_before = thread_count_of("self");
+    let baseline: HashSet<String> = threads_of_self().into_iter().map(|(tid, _)| tid).collect();
     let engine = Arc::new(Engine::with_defaults());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let config = NetConfig {
@@ -93,10 +154,10 @@ fn a_thousand_concurrent_connections_ride_two_worker_threads() {
     let server = Server::tcp_with(engine, listener, config).expect("server spawns");
     let addr = server.local_addr().expect("tcp addr");
 
-    let threads_with_server = thread_count_of("self");
+    let expected: Vec<String> = (0..WORKERS).map(|id| format!("cpm-net-{id}")).collect();
     assert_eq!(
-        threads_with_server - threads_before,
-        WORKERS,
+        new_server_threads(&baseline),
+        expected,
         "the reactor serves from exactly the configured worker set"
     );
 
@@ -109,10 +170,9 @@ fn a_thousand_concurrent_connections_ride_two_worker_threads() {
     }
     let elapsed = started.elapsed();
 
-    let threads_under_load = thread_count_of("self");
     assert_eq!(
-        threads_under_load - threads_before,
-        WORKERS,
+        new_server_threads(&baseline),
+        expected,
         "serving {CONNS} concurrent connections must not spawn extra threads"
     );
 
@@ -162,8 +222,13 @@ impl ServerProcess {
                 break rest.trim().parse().expect("listen address parses");
             }
         };
-        // Keep draining stderr so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
+        // Keep draining stderr so the child never blocks on a full pipe.  The
+        // thread is named so the in-process thread census can tell it from
+        // an unnamed spawn when both tests share a process.
+        std::thread::Builder::new()
+            .name("net-smoke-drain".to_string())
+            .spawn(move || for _ in lines {})
+            .expect("stderr drain spawns");
         ServerProcess { child, addr }
     }
 

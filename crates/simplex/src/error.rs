@@ -30,8 +30,8 @@ pub enum SimplexError {
     EmptyModel,
     /// The solver met a numerically singular or inconsistent state (e.g. a basis
     /// factorisation found no acceptable pivot) and could not recover.  The
-    /// sparse backend only reports this after exhausting its basis-repair
-    /// budget ([`SolveOptions::max_repairs`](crate::SolveOptions::max_repairs)):
+    /// revised simplex only reports this after exhausting its basis-repair
+    /// budget (two consecutive breakdowns with no successful update between):
     /// every breakdown first triggers a fresh LU factorisation, falling back to
     /// the last good basis.  Usually indicates an extremely ill-conditioned
     /// model.
@@ -39,7 +39,7 @@ pub enum SimplexError {
         /// Human-readable location of the breakdown.
         context: &'static str,
         /// How many basis repairs were attempted before giving up (always zero
-        /// for the dense backend, which has no repair path).
+        /// for the dense reference, which has no repair path).
         repairs: usize,
     },
     /// Variable bounds are contradictory (lower bound greater than upper bound).

@@ -7,7 +7,7 @@
 //! The paper solves all constrained designs with an off-the-shelf LP solver
 //! (PyLPSolve / lp_solve).  No LP solver crate is part of the allowed offline
 //! dependency set for this reproduction, so this crate implements the classic
-//! **two-phase primal simplex** method with two interchangeable backends:
+//! **two-phase primal simplex** method along one solver route:
 //!
 //! * a [`LinearProgram`] model-builder API (named variables, bounds, `<=`/`>=`/`=`
 //!   constraints, minimisation or maximisation objectives) storing constraints
@@ -18,14 +18,13 @@
 //!   variables — see [`SparseMatrix`],
 //! * Phase 1 (minimise the sum of artificials) to find a basic feasible solution,
 //! * Phase 2 with the user objective,
-//! * the **revised simplex** default backend ([`SolverBackend::SparseRevised`]):
-//!   the basis inverse is a **sparse LU factorisation** maintained by
-//!   Forrest–Tomlin rank-one updates, so a pivot costs `O(nnz)` instead of the
-//!   dense tableau's `O(rows · cols)` — the mechanism-design LPs have only 2 to
-//!   `n+1` nonzeros per row, so this is the difference between toy and
-//!   production group sizes,
-//! * the dense full tableau retained as [`SolverBackend::DenseTableau`], selectable
-//!   through [`SolveOptions::backend`] and used as a differential-testing oracle,
+//! * the **revised simplex**: the basis inverse is a **sparse LU
+//!   factorisation** maintained by Forrest–Tomlin rank-one updates, so a pivot
+//!   costs `O(nnz)` instead of the dense tableau's `O(rows · cols)` — the
+//!   mechanism-design LPs have only 2 to `n+1` nonzeros per row, so this is the
+//!   difference between toy and production group sizes,
+//! * the dense full tableau, kept only as the differential-testing oracle
+//!   behind [`LinearProgram::solve_dense_reference`],
 //! * **dual-simplex warm starts** ([`SolveOptions::warm_basis`]): seeding a
 //!   solve with the [`Solution::optimal_basis`] of an identically shaped
 //!   program skips Phase 1 entirely and replaces most of Phase 2 with a short
@@ -86,9 +85,10 @@
 //!       ▼
 //! revised simplex        revised.rs    two-phase driver, Harris two-pass +
 //!       │                              long-step/bound-flipping ratio tests,
-//!       │                              Devex / steepest-edge / Dantzig / Bland
-//!       │                              pricing, incremental reduced costs,
-//!       │                              basis repair, dual-simplex warm starts
+//!       │                              Dantzig (phase 1) / steepest-edge
+//!       │                              (phase 2) pricing with a Bland fallback,
+//!       │                              incremental reduced costs, basis
+//!       │                              repair, dual-simplex warm starts
 //!       ▼
 //! LU basis inverse       lu.rs         Markowitz factorisation (singleton peeling
 //!       │                              + threshold pivoting), Suhl–Suhl ordered
@@ -108,34 +108,36 @@
 //! identically with presolve on or off.  [`SolveStats::presolve_rows_removed`]
 //! and [`SolveStats::presolve_cols_removed`] attribute the shrinkage.
 //!
-//! The LU factors are rebuilt every [`SolveOptions::refactor_interval`]
-//! Forrest–Tomlin updates — treated as a floor and stretched to `rows / 32` on
-//! tall problems — and whenever an update signals numerical trouble (the
-//! *basis repair* path, bounded by [`SolveOptions::max_repairs`]).
+//! The LU factors are rebuilt every 64 Forrest–Tomlin updates — stretched to
+//! `rows / 32` on tall problems — and whenever an update signals numerical
+//! trouble (the *basis repair* path, which gives up after two consecutive
+//! breakdowns with no successful update in between).
 //!
-//! ## Pricing × ratio-test option matrix
+//! ## Pricing and the ratio test
 //!
-//! Entering-variable pricing is selected by [`SolveOptions::pricing`]; the
-//! leaving side always runs the Harris two-pass ratio test extended with
-//! long-step **bound flips**: when the tightest limit is the entering (or a
-//! passing boxed) variable's *opposite bound*, the variable flips across its
-//! box without a basis change ([`SolveStats::bound_flips`]).
+//! The solver has one pricing route, chosen by measurement (see the
+//! pricing/pivot-rule ablation in `BENCHMARKS.md`):
 //!
-//! | [`PricingRule`]  | score                         | per-pivot cost | best for |
-//! |------------------|-------------------------------|----------------|----------|
-//! | `Dantzig`        | most negative reduced cost    | cheapest       | small / well-scaled LPs |
-//! | `Devex`          | `d_j² / γ_j`, reference grows | one extra BTRAN row | mid-size degenerate LPs |
-//! | `SteepestEdge`   | `d_j² / ‖B⁻¹a_j‖²` exact in the reference frame, weights rebuilt on refactorisation | pivot-column FTRAN reuse + masked updates | the large mechanism LPs (n ≥ 64: fewest pivots, best locality) |
+//! | phase   | score                         | why |
+//! |---------|-------------------------------|-----|
+//! | Phase 1 | Dantzig: most negative reduced cost | drives the artificials out in near-minimal pivots |
+//! | Phase 2 | projected steepest edge: `d_j² / ‖B⁻¹a_j‖²` exact in the reference frame, weights rebuilt on refactorisation | fewest pivots on the mechanism LPs at every measured n (8 052 against Devex's 11 592 and Dantzig's 15 937 on the cold n = 64 solve) |
 //!
-//! All rules fall back to Bland's rule when degeneracy stalls progress,
-//! guaranteeing termination; [`SolveOptions::partial_pricing`] optionally
-//! prices in cyclic column sections under any rule.  `cpm-core`'s
-//! `recommended_options` picks per problem size: steepest edge for the
-//! mechanism designs (it wins at every measured n — ~2x fewer phase-2 pivots
-//! at n = 64), `max_iterations` scaled to `60 · dim²`, presolve on.
-//! [`SolveStats`] reports factorisations, rank-one updates, repairs, bound
-//! flips, and per-rule framework resets ([`SolveStats::devex_resets`],
-//! [`SolveStats::steepest_edge_resets`]) separately.
+//! Both phases fall back to Bland's rule after 64 consecutive degenerate
+//! pivots and return to their scoring rule after the next improving pivot,
+//! which guarantees termination.  The leaving side always runs the Harris
+//! two-pass ratio test extended with long-step **bound flips**: when the
+//! tightest limit is the entering (or a passing boxed) variable's *opposite
+//! bound*, the variable flips across its box without a basis change
+//! ([`SolveStats::bound_flips`]).  The dual warm-start path prices its
+//! leaving row with dual Devex weights.
+//!
+//! What a caller can still set is [`SolveOptions`]: the pivot budget, the
+//! tolerance, a warm basis, presolve, and the LP form.  `cpm-core`'s
+//! `recommended_options` scales the pivot budget to `60 · dim²` through
+//! [`SolveOptions::tuned`].  [`SolveStats`] reports factorisations, rank-one
+//! updates, repairs, bound flips, and steepest-edge framework resets
+//! ([`SolveStats::steepest_edge_resets`]) separately.
 //!
 //! ## Example
 //!
@@ -181,6 +183,6 @@ mod tableau;
 pub use error::SimplexError;
 pub use model::{Constraint, LinearProgram, Objective, Relation, VariableId};
 pub use solution::{Solution, SolveStatus};
-pub use solver::{LpForm, PivotRule, PricingRule, SolveOptions, SolveStats, SolverBackend};
+pub use solver::{LpForm, SolveOptions, SolveStats};
 pub use sparse::SparseMatrix;
 pub use standard::crash_basis;

@@ -278,17 +278,28 @@ impl LinearProgram {
         Ok(())
     }
 
-    /// Solve with default [`SolveOptions`] (sparse LU revised simplex, Devex
-    /// phase-2 pricing, periodic refactorisation with basis repair).
+    /// Solve with default [`SolveOptions`] (sparse LU revised simplex,
+    /// steepest-edge phase-2 pricing, periodic refactorisation with basis
+    /// repair).
     pub fn solve(&self) -> Result<Solution, SimplexError> {
         self.solve_with(&SolveOptions::default())
     }
 
-    /// Solve with explicit options (iteration limit, tolerance, pivot and
-    /// pricing rules, backend, refactorisation cadence, repair budget).
+    /// Solve with explicit options (iteration limit, tolerance, warm basis,
+    /// presolve, LP form).
     pub fn solve_with(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
         self.validate()?;
-        solve_prepared(self, options)
+        solve_prepared(self, options, false)
+    }
+
+    /// Solve on the dense full-tableau reference backend: Dantzig pricing
+    /// with the same Bland fallback, always on the primal form, `O(rows ·
+    /// cols)` per pivot.  It exists as the differential-testing oracle for
+    /// [`LinearProgram::solve_with`]; [`SolveOptions::form`] is ignored and
+    /// [`SolveOptions::warm_basis`] is never used.
+    pub fn solve_dense_reference(&self, options: &SolveOptions) -> Result<Solution, SimplexError> {
+        self.validate()?;
+        solve_prepared(self, options, true)
     }
 }
 

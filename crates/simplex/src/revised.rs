@@ -14,42 +14,49 @@
 //! Each simplex pivot then applies a Forrest–Tomlin rank-one **update** to the
 //! factors instead of appending a product-form eta: U only ever *loses* stored
 //! entries between factorisations, so FTRAN/BTRAN stay flat over long runs —
-//! the property the old eta file lacked.  Every
-//! [`SolveOptions::refactor_interval`] updates the factors are rebuilt from the
-//! exact basis columns, which also bounds numerical drift.
+//! the property the old eta file lacked.  Every [`REFACTOR_INTERVAL`] updates
+//! (stretched to `rows / 32` on tall problems) the factors are rebuilt from
+//! the exact basis columns, which also bounds numerical drift.
 //!
 //! * **FTRAN** (`B⁻¹ a`) is a forward pass through the L operators followed by
 //!   a backward sparse triangular solve with U.
 //! * **BTRAN** (`y' B⁻¹`) is the transposed pair in reverse.
 //!
-//! ## Pricing: Devex with incremental reduced costs
+//! ## Pricing: steepest edge with incremental reduced costs
 //!
 //! Outside the anti-cycling Bland fallback, the driver maintains the reduced
 //! costs `d` incrementally from the pivot row of each iteration (one extra
-//! BTRAN of a unit vector plus a sparse row-wise pass over `A`), and scores
-//! entering candidates with Devex reference weights — `d_j² / γ_j` — updated
-//! from the same pivot row ([`PricingRule::Devex`]).  The weights reset when
-//! they overflow their trust bound, and `d` is recomputed exactly at every
-//! refactorisation and before optimality is declared.  Partial pricing
-//! ([`SolveOptions::partial_pricing`]) optionally scans cyclic column sections
-//! instead of the full range.
+//! BTRAN of a unit vector plus a sparse row-wise pass over `A`).  Phase 2
+//! scores entering candidates by projected steepest edge, `d_j² / γ_j`, with
+//! the exact reference-framework norms `γ` updated from the same pivot row;
+//! Phase 1 scores by `|d_j|` (Dantzig), which drives the artificials out in
+//! near-minimal pivots.  `d` is recomputed exactly at every refactorisation
+//! and before optimality is declared.
 //!
 //! ## Basis repair
 //!
 //! A numerical breakdown during an update or a factorisation no longer aborts
 //! the solve: the driver refactorises from scratch, falling back to the last
-//! good basis if the current one is singular, up to
-//! [`SolveOptions::max_repairs`] times ([`SolveStats::basis_repairs`] reports
-//! how often this fired).
+//! good basis if the current one is singular, up to [`MAX_REPAIRS`] times in a
+//! row ([`SolveStats::basis_repairs`](crate::SolveStats::basis_repairs)
+//! reports how often this fired).
 
 use crate::error::SimplexError;
 use crate::lu::LuFactors;
-use crate::solver::{PhaseOutcome, PivotState, PricingRule, SolveOptions, SolvedPoint};
+use crate::solver::{PhaseOutcome, PivotState, SolveOptions, SolvedPoint};
 use crate::sparse::{RowMajor, SparseAccumulator};
 use crate::standard::StandardForm;
 
-/// Devex weights above this bound trigger a reference-framework reset.
-const DEVEX_WEIGHT_LIMIT: f64 = 1e7;
+/// Refactorise the basis after this many Forrest–Tomlin updates.  A floor:
+/// tall problems stretch the cadence to `rows / 32`, which tracks the
+/// measured optimum on the mechanism LPs.
+const REFACTOR_INTERVAL: usize = 64;
+
+/// How many *consecutive* numerical breakdowns (with no successful basis
+/// update in between) may be repaired before the solve gives up with
+/// [`SimplexError::NumericalBreakdown`].  Isolated breakdowns over a long run
+/// each get a fresh budget.
+const MAX_REPAIRS: usize = 2;
 
 /// A dense vector paired with its nonzero pattern, as produced by the
 /// hypersparse LU solves.  `dense` marks a vector whose pattern is stale —
@@ -157,14 +164,14 @@ struct RevisedState<'a> {
     /// Total repairs across the solve (reported in the stats).
     repairs: usize,
     /// Repairs since the last successful Forrest–Tomlin update — the value
-    /// checked against [`SolveOptions::max_repairs`], so isolated breakdowns
+    /// checked against [`MAX_REPAIRS`], so isolated breakdowns
     /// over a long run never exhaust the budget, while breakdowns that recur
     /// without any progress in between still terminate the solve.
     repair_streak: usize,
     /// Set when the factorisation was rebuilt: reduced costs must be
     /// recomputed before the next pricing decision.
     dirty_reduced_costs: bool,
-    /// Set when a repair rolled the basis back: Devex weights must reset.
+    /// Set when a repair rolled the basis back: pricing weights must reset.
     dirty_weights: bool,
     /// Whether any core column is boxed (`sf.upper` finite); gates all the
     /// bound-side bookkeeping so unboxed programs pay nothing.
@@ -590,7 +597,6 @@ impl<'a> RevisedState<'a> {
         col: usize,
         w: &PatVec,
         to_upper: bool,
-        options: &SolveOptions,
     ) -> Result<bool, SimplexError> {
         let pivot_value = w.values[row];
         debug_assert!(pivot_value.abs() > 0.0, "pivot on a zero element");
@@ -651,7 +657,7 @@ impl<'a> RevisedState<'a> {
         if self.lu.update(row, &self.spike, spike_pattern).is_err() {
             // The update left the factors unusable; rebuild from scratch (this
             // recomputes x_B exactly from the repaired basis).
-            self.repair(options, "Forrest–Tomlin update met a singular basis", false)?;
+            self.repair("Forrest–Tomlin update met a singular basis", false)?;
         } else {
             self.repair_streak = 0;
         }
@@ -752,7 +758,7 @@ impl<'a> RevisedState<'a> {
     /// Basis-repair recovery: refactorise from scratch after a breakdown,
     /// rolling back to the last good basis when the current one is singular.
     /// Each attempt (one factorisation, preceded by a rollback where needed)
-    /// consumes one unit of [`SolveOptions::max_repairs`].
+    /// consumes one unit of [`MAX_REPAIRS`].
     ///
     /// `current_basis_failed` tells the repair that a factorisation of the
     /// *current* basis was just attempted and failed (the refactorisation call
@@ -762,7 +768,6 @@ impl<'a> RevisedState<'a> {
     /// been factorised yet and usually is fine.
     fn repair(
         &mut self,
-        options: &SolveOptions,
         context: &'static str,
         current_basis_failed: bool,
     ) -> Result<(), SimplexError> {
@@ -771,7 +776,7 @@ impl<'a> RevisedState<'a> {
         let repair_span = cpm_obs::span!("simplex", "basis_repair");
         let mut roll_back_first = current_basis_failed;
         loop {
-            if self.repair_streak >= options.max_repairs {
+            if self.repair_streak >= MAX_REPAIRS {
                 return Err(SimplexError::NumericalBreakdown {
                     context,
                     repairs: self.repairs,
@@ -805,6 +810,13 @@ impl<'a> RevisedState<'a> {
         }
     }
 
+    /// Updates tolerated before the next periodic refactorisation:
+    /// [`REFACTOR_INTERVAL`], stretched to `rows / 32` on tall problems,
+    /// where a longer update run amortises the factorisation better.
+    fn refactor_interval(&self) -> usize {
+        REFACTOR_INTERVAL.max(self.num_rows() / 32)
+    }
+
     /// The current objective `c_B' x_B` (plus `Σ c_j u_j` over nonbasic
     /// at-upper boxed columns) under the given cost vector.
     fn objective(&self, costs: &[f64]) -> f64 {
@@ -829,16 +841,16 @@ impl<'a> RevisedState<'a> {
 }
 
 /// Entering-column pricing state shared across a phase: reduced costs over the
-/// core columns (maintained incrementally from the pivot row) and the Devex
-/// reference weights.
+/// core columns (maintained incrementally from the pivot row) and the
+/// projected steepest-edge reference weights.
 struct Pricing {
-    rule: PricingRule,
+    /// Score candidates by projected steepest edge (Phase 2); otherwise by
+    /// the reduced cost alone (Dantzig, Phase 1).
+    steepest: bool,
     /// Reduced costs of the core columns (meaningless for basic columns).
     d: Vec<f64>,
-    /// Reference-framework weights: Devex estimates, or exact projected
-    /// steepest-edge norms `γ_j` under [`PricingRule::SteepestEdge`].
+    /// Exact projected steepest-edge norms `γ_j` (steepest edge only).
     weights: Vec<f64>,
-    weight_max: f64,
     /// Steepest edge only: membership of each core column in the reference
     /// framework `F` fixed at the last rebuild (`γ_j = δ(j∈F) + Σ w_i²` over
     /// rows whose basic variable is in `F`).
@@ -859,8 +871,6 @@ struct Pricing {
     /// entering candidates need no FTRAN-side verification and an empty scan
     /// proves optimality.
     exact: bool,
-    /// Partial-pricing cursor (start of the section scanned first).
-    cursor: usize,
     resets: usize,
 }
 
@@ -872,19 +882,17 @@ const CANDIDATE_EPS: f64 = 1e-10;
 const GAMMA_FLOOR: f64 = 1e-4;
 
 impl Pricing {
-    fn new(num_core: usize, rule: PricingRule) -> Self {
+    fn new(num_core: usize, steepest: bool) -> Self {
         Pricing {
-            rule,
+            steepest,
             d: vec![0.0; num_core],
             weights: vec![1.0; num_core],
-            weight_max: 1.0,
             in_ref: vec![false; num_core],
             ref_stale: true,
             list: Vec::new(),
             in_list: vec![false; num_core],
             dirty: true,
             exact: false,
-            cursor: 0,
             resets: 0,
         }
     }
@@ -893,7 +901,6 @@ impl Pricing {
     /// additionally re-anchors `F` to the current nonbasic set lazily).
     fn reset_weights(&mut self) {
         self.weights.fill(1.0);
-        self.weight_max = 1.0;
         self.ref_stale = true;
         self.resets += 1;
     }
@@ -906,7 +913,6 @@ impl Pricing {
             *r = !in_basis[j];
         }
         self.weights.fill(1.0);
-        self.weight_max = 1.0;
         self.ref_stale = false;
     }
 
@@ -962,52 +968,10 @@ impl Pricing {
     }
 
     /// Pick the entering column per the active rule, or `None` when no
-    /// candidate prices favourably.  With partial pricing the scan walks
-    /// cyclic sections and stops at the first section holding a candidate.
-    fn select(
-        &mut self,
-        eps: f64,
-        partial: usize,
-        in_basis: &[bool],
-        at_upper: &[bool],
-    ) -> Option<usize> {
-        let n = self.d.len();
-        if n == 0 {
-            return None;
-        }
-        if partial == 0 || partial >= n {
-            return self.select_from_list(eps, in_basis, at_upper);
-        }
-        let sections = n.div_ceil(partial);
-        for s in 0..sections {
-            let start = (self.cursor + s * partial) % n;
-            let end = (start + partial).min(n);
-            if let Some(j) = self.select_range(eps, in_basis, at_upper, start, end) {
-                self.cursor = start;
-                return Some(j);
-            }
-            // Wrap the tail section around to keep sections aligned to the
-            // cursor rather than to zero.
-            if start + partial > n {
-                if let Some(j) = self.select_range(eps, in_basis, at_upper, 0, start + partial - n)
-                {
-                    self.cursor = start;
-                    return Some(j);
-                }
-            }
-        }
-        None
-    }
-
-    /// Scan the candidate list, evicting entries that went basic or stopped
-    /// pricing favourably (they re-join through
-    /// [`Pricing::consider_candidate`] if an update revives them).
-    fn select_from_list(
-        &mut self,
-        eps: f64,
-        in_basis: &[bool],
-        at_upper: &[bool],
-    ) -> Option<usize> {
+    /// candidate prices favourably.  Scans the candidate list, evicting
+    /// entries that went basic or stopped pricing favourably (they re-join
+    /// through [`Pricing::consider_candidate`] if an update revives them).
+    fn select(&mut self, eps: f64, in_basis: &[bool], at_upper: &[bool]) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         let mut k = 0;
         while k < self.list.len() {
@@ -1019,9 +983,10 @@ impl Pricing {
             }
             let d = self.d[j];
             if favourable(d, at_upper[j], eps) {
-                let score = match self.rule {
-                    PricingRule::Dantzig => d.abs(),
-                    PricingRule::Devex | PricingRule::SteepestEdge => d * d / self.weights[j],
+                let score = if self.steepest {
+                    d * d / self.weights[j]
+                } else {
+                    d.abs()
                 };
                 match best {
                     None => best = Some((j, score)),
@@ -1034,43 +999,13 @@ impl Pricing {
         best.map(|(j, _)| j)
     }
 
-    fn select_range(
-        &self,
-        eps: f64,
-        in_basis: &[bool],
-        at_upper: &[bool],
-        start: usize,
-        end: usize,
-    ) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        #[allow(clippy::needless_range_loop)] // parallel arrays indexed by j
-        for j in start..end {
-            if in_basis[j] {
-                continue;
-            }
-            let d = self.d[j];
-            if favourable(d, at_upper[j], eps) {
-                let score = match self.rule {
-                    PricingRule::Dantzig => d.abs(),
-                    PricingRule::Devex | PricingRule::SteepestEdge => d * d / self.weights[j],
-                };
-                match best {
-                    None => best = Some((j, score)),
-                    Some((_, best_score)) if score > best_score => best = Some((j, score)),
-                    _ => {}
-                }
-            }
-        }
-        best.map(|(j, _)| j)
-    }
-
-    /// Incrementally update `d` and the Devex weights from the pivot row.
+    /// Incrementally update `d` from the pivot row.
     ///
     /// `alpha` holds the pivot row `e_r' B⁻¹ A` over the core columns,
     /// `alpha_rq = w[row]` is the pivot element, `d_q` the entering column's
     /// (verified) reduced cost, and `leaving` the column leaving the basis.
     #[allow(clippy::too_many_arguments)]
-    fn update_from_pivot_row(
+    fn update_reduced_costs(
         &mut self,
         alpha: &SparseAccumulator,
         alpha_rq: f64,
@@ -1082,7 +1017,6 @@ impl Pricing {
         at_upper: &[bool],
     ) {
         let theta_d = d_q / alpha_rq;
-        let gamma_q = self.weights[entering].max(1.0);
         for &j in alpha.pattern() {
             if j == entering || in_basis[j] {
                 continue;
@@ -1093,31 +1027,19 @@ impl Pricing {
             }
             self.d[j] -= theta_d * a;
             self.consider_candidate(j, at_upper[j]);
-            let ratio = a / alpha_rq;
-            let candidate = ratio * ratio * gamma_q;
-            if candidate > self.weights[j] {
-                self.weights[j] = candidate;
-                self.weight_max = self.weight_max.max(candidate);
-            }
         }
         // The leaving column re-enters the nonbasic set: its pivot-row entry is
         // exactly one (B⁻¹ a_leaving = e_r), so its new reduced cost is −θ_d.
         if leaving < self.d.len() {
             self.d[leaving] = -theta_d;
             self.consider_candidate(leaving, leaving_to_upper);
-            let w = (gamma_q / (alpha_rq * alpha_rq)).max(1.0);
-            self.weights[leaving] = w;
-            self.weight_max = self.weight_max.max(w);
         }
         self.d[entering] = 0.0;
         self.exact = false;
-        if self.weight_max > DEVEX_WEIGHT_LIMIT {
-            self.reset_weights();
-        }
     }
 
-    /// The projected steepest-edge counterpart of
-    /// [`Pricing::update_from_pivot_row`].
+    /// Update the projected steepest-edge weights from the pivot row (the
+    /// reduced costs are [`Pricing::update_reduced_costs`]'s job).
     ///
     /// With `q` entering on row `r` and `l = basis[r]` leaving, the projected
     /// norm of every nonbasic column with `α_rj ≠ 0` transforms as
@@ -1142,14 +1064,10 @@ impl Pricing {
         alpha_rq: f64,
         gamma_q: f64,
         entering: usize,
-        d_q: f64,
         leaving: usize,
-        leaving_to_upper: bool,
         leaving_in_ref: bool,
         in_basis: &[bool],
-        at_upper: &[bool],
     ) {
-        let theta_d = d_q / alpha_rq;
         let entering_in_ref = self.in_ref[entering];
         for &j in alpha.pattern() {
             if j == entering || in_basis[j] {
@@ -1159,8 +1077,6 @@ impl Pricing {
             if a == 0.0 {
                 continue;
             }
-            self.d[j] -= theta_d * a;
-            self.consider_candidate(j, at_upper[j]);
             let ratio = a / alpha_rq;
             let mut g = self.weights[j] - 2.0 * ratio * tau.get(j) + ratio * ratio * gamma_q;
             if leaving_in_ref {
@@ -1175,13 +1091,9 @@ impl Pricing {
             self.weights[j] = g.max(floor).max(GAMMA_FLOOR);
         }
         if leaving < self.d.len() {
-            self.d[leaving] = -theta_d;
-            self.consider_candidate(leaving, leaving_to_upper);
             let inv = 1.0 / (alpha_rq * alpha_rq);
             self.weights[leaving] = (gamma_q * inv).max(GAMMA_FLOOR);
         }
-        self.d[entering] = 0.0;
-        self.exact = false;
     }
 }
 
@@ -1282,7 +1194,11 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
     state.stats.artificial_variables = basis.num_artificials();
 
     let mut ws = Workspace::new(num_rows, num_core);
-    let mut pricing = Pricing::new(num_core, pricing_rule(options));
+    // Phase 1 prices with Dantzig scoring: on the artificial-sum objective
+    // reference-weight norms systematically prefer small-pivot columns and
+    // inflate the pivot count ~10x (measured with Devex on the mechanism
+    // LPs), while Dantzig drives the artificials out in near-minimal pivots.
+    let mut pricing = Pricing::new(num_core, false);
 
     // ------------------------------- Phase 1 -------------------------------
     if basis.num_artificials() > 0 {
@@ -1290,12 +1206,6 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
         for cost in phase1_costs.iter_mut().skip(num_core) {
             *cost = 1.0;
         }
-        // Phase 1 always prices with Dantzig scoring: on the artificial-sum
-        // objective Devex's norm estimates systematically prefer small-pivot
-        // columns and inflate the pivot count ~10x (measured on the mechanism
-        // LPs), while Dantzig drives the artificials out in near-minimal
-        // pivots.  The configured rule applies to Phase 2.
-        pricing.rule = PricingRule::Dantzig;
         let before = state.iterations_left;
         let phase_span = cpm_obs::span!("simplex", "phase1");
         let outcome = run_phase(
@@ -1320,14 +1230,14 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
         if basis.objective(&phase1_costs) > 1e-6 {
             return Err(SimplexError::Infeasible);
         }
-        drive_out_artificials(&mut basis, eps, options, &mut ws)?;
+        drive_out_artificials(&mut basis, eps, &mut ws)?;
     }
 
     // ------------------------------- Phase 2 -------------------------------
     let mut phase2_costs = sf.costs.clone();
     phase2_costs.resize(total_columns, 0.0);
-    state.start_phase(options);
-    pricing.rule = pricing_rule(options);
+    state.start_phase();
+    pricing.steepest = true;
     pricing.dirty = true;
     pricing.reset_weights();
     pricing.resets -= 1; // the phase boundary is not a mid-run framework reset
@@ -1364,27 +1274,13 @@ fn cold_solve(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, 
     state.stats.refactorizations = basis.factorizations;
     state.stats.basis_updates = basis.total_updates;
     state.stats.basis_repairs = basis.repairs;
-    if matches!(pricing.rule, PricingRule::SteepestEdge) {
-        state.stats.steepest_edge_resets = pricing.resets;
-    } else {
-        state.stats.devex_resets = pricing.resets;
-    }
+    state.stats.steepest_edge_resets = pricing.resets;
     Ok(SolvedPoint {
         objective: basis.objective(&phase2_costs),
         z,
         stats: state.stats,
         basis: Some(basis.basis.clone()),
     })
-}
-
-/// The pricing rule in force when Bland mode is off: the legacy
-/// [`PivotRule::Dantzig`](crate::PivotRule::Dantzig) forces Dantzig scoring,
-/// otherwise [`SolveOptions::pricing`] decides.
-fn pricing_rule(options: &SolveOptions) -> PricingRule {
-    match options.pivot_rule {
-        crate::solver::PivotRule::Dantzig => PricingRule::Dantzig,
-        _ => options.pricing,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1490,8 +1386,8 @@ pub(crate) fn warm_solve(
     // check and the ratio-test slack allowed, and certifies optimality with
     // the existing (fresh-factor-confirming) phase machinery.  Near-neighbour
     // warm starts terminate here in a handful of pivots.
-    let mut pricing = Pricing::new(num_core, pricing_rule(options));
-    state.start_phase(options);
+    let mut pricing = Pricing::new(num_core, true);
+    state.start_phase();
     let before = state.iterations_left;
     let outcome = run_phase(
         &mut basis,
@@ -1535,11 +1431,7 @@ pub(crate) fn warm_solve(
     state.stats.refactorizations = basis.factorizations;
     state.stats.basis_updates = basis.total_updates;
     state.stats.basis_repairs = basis.repairs;
-    if matches!(pricing.rule, PricingRule::SteepestEdge) {
-        state.stats.steepest_edge_resets = pricing.resets;
-    } else {
-        state.stats.devex_resets = pricing.resets;
-    }
+    state.stats.steepest_edge_resets = pricing.resets;
     state.stats.warm_started = true;
     Some(SolvedPoint {
         objective: basis.objective(costs),
@@ -1555,7 +1447,7 @@ pub(crate) fn warm_solve(
 ///
 /// 1. **Leaving row** by dual Devex pricing: score `x_r² / w_r` over the rows
 ///    with `x_r < −tol` (the reference weights `w` are updated from the
-///    FTRANed entering column each pivot, mirroring primal Devex with the
+///    FTRANed entering column each pivot — Devex reference weights with the
 ///    roles of rows and columns swapped).
 /// 2. **Pivot row** `e_r' B⁻¹ A` over the core columns — the same
 ///    BTRAN-plus-CSR-pass the primal pricing update uses.
@@ -1581,6 +1473,8 @@ fn dual_phase(
 ) -> Result<DualOutcome, SimplexError> {
     let eps = options.tolerance;
     let feas_tol = eps.max(1e-9);
+    // Dual Devex weights above this bound reset the reference framework.
+    const WEIGHT_LIMIT: f64 = 1e7;
     let mut weights = vec![1.0f64; basis.num_rows()];
     let mut weight_max = 1.0f64;
     // A warm start whose cleanup rivals a cold solve in pivots is not worth
@@ -1595,11 +1489,10 @@ fn dual_phase(
         if pivots >= budget || state.iterations_left == 0 {
             return Ok(DualOutcome::Stalled);
         }
-        let interval = options.refactor_interval.max(basis.num_rows() / 32).max(1);
-        if basis.lu.updates() >= interval
+        if basis.lu.updates() >= basis.refactor_interval()
             && basis.refactorize().is_err()
             && basis
-                .repair(options, "dual-phase periodic refactorisation", true)
+                .repair("dual-phase periodic refactorisation", true)
                 .is_err()
         {
             return Ok(DualOutcome::Stalled);
@@ -1714,12 +1607,12 @@ fn dual_phase(
         }
         weights[row] = (gamma_r / (pivot * pivot)).max(1.0);
         weight_max = weight_max.max(weights[row]);
-        if weight_max > DEVEX_WEIGHT_LIMIT {
+        if weight_max > WEIGHT_LIMIT {
             weights.fill(1.0);
             weight_max = 1.0;
         }
 
-        if basis.apply_pivot(row, col, &ws.w, false, options).is_err() {
+        if basis.apply_pivot(row, col, &ws.w, false).is_err() {
             return Ok(DualOutcome::Stalled);
         }
         state.iterations_left -= 1;
@@ -1744,14 +1637,9 @@ fn run_phase(
                 limit: options.max_iterations,
             });
         }
-        // The configured interval is a floor: for tall problems a longer update
-        // run amortises the factorisation cost better (the measured optimum
-        // tracks rows/32 on the mechanism LPs), so stretch the cadence with
-        // the row count.
-        let interval = options.refactor_interval.max(basis.num_rows() / 32).max(1);
-        if basis.lu.updates() >= interval {
+        if basis.lu.updates() >= basis.refactor_interval() {
             if basis.refactorize().is_err() {
-                basis.repair(options, "periodic refactorisation", true)?;
+                basis.repair("periodic refactorisation", true)?;
             }
             // Steepest edge re-initialises exactly at each refactorisation:
             // re-anchoring `F` to the current nonbasic set makes every weight
@@ -1768,7 +1656,7 @@ fn run_phase(
             pricing.reset_weights();
             basis.dirty_weights = false;
         }
-        if matches!(pricing.rule, PricingRule::SteepestEdge) && pricing.ref_stale {
+        if pricing.steepest && pricing.ref_stale {
             pricing.rebuild_reference(&basis.in_basis);
         }
 
@@ -1780,12 +1668,7 @@ fn run_phase(
             if pricing.dirty {
                 pricing.recompute(basis, costs, &mut ws.y);
             }
-            match pricing.select(
-                eps,
-                options.partial_pricing,
-                &basis.in_basis,
-                &basis.at_upper,
-            ) {
+            match pricing.select(eps, &basis.in_basis, &basis.at_upper) {
                 Some(j) => break Some(j),
                 None if !pricing.exact => {
                     // The incremental reduced costs may have drifted; prove
@@ -1804,7 +1687,7 @@ fn run_phase(
             // pass terminates.
             if !state.using_bland && basis.lu.updates() > 0 {
                 if basis.refactorize().is_err() {
-                    basis.repair(options, "optimality confirmation refactorisation", true)?;
+                    basis.repair("optimality confirmation refactorisation", true)?;
                 }
                 continue;
             }
@@ -1839,7 +1722,7 @@ fn run_phase(
                 // it is safe even under Bland's rule.
                 basis.bound_flip(col, &ws.w);
                 state.stats.bound_flips += 1;
-                state.record_pivot(options, true);
+                state.record_pivot(true);
                 continue;
             }
             RatioOutcome::Pivot { row, to_upper } => (row, to_upper),
@@ -1850,7 +1733,7 @@ fn run_phase(
             basis.btran_unit(row, &mut ws.rho);
             ws.pivot_row(&basis.row_major);
             let leaving = basis.basis[row];
-            if matches!(pricing.rule, PricingRule::SteepestEdge) {
+            if pricing.steepest {
                 // The entering FTRAN gives the projected norm exactly, for
                 // free; a stored weight far from it means the incremental
                 // updates have degraded and the framework is re-anchored.
@@ -1897,33 +1780,29 @@ fn run_phase(
                     ws.w.values[row],
                     gamma_q,
                     col,
-                    d_actual,
                     leaving,
-                    to_upper,
                     leaving_in_ref,
                     &basis.in_basis,
-                    &basis.at_upper,
-                );
-            } else {
-                pricing.update_from_pivot_row(
-                    &ws.alpha,
-                    ws.w.values[row],
-                    col,
-                    d_actual,
-                    leaving,
-                    to_upper,
-                    &basis.in_basis,
-                    &basis.at_upper,
                 );
             }
+            pricing.update_reduced_costs(
+                &ws.alpha,
+                ws.w.values[row],
+                col,
+                d_actual,
+                leaving,
+                to_upper,
+                &basis.in_basis,
+                &basis.at_upper,
+            );
         } else {
             // Bland mode prices exactly each iteration; the incremental state
             // is stale once we leave it.
             pricing.dirty = true;
         }
 
-        let nondegenerate = basis.apply_pivot(row, col, &ws.w, to_upper, options)?;
-        state.record_pivot(options, nondegenerate);
+        let nondegenerate = basis.apply_pivot(row, col, &ws.w, to_upper)?;
+        state.record_pivot(nondegenerate);
     }
 }
 
@@ -1954,7 +1833,6 @@ fn price_bland(basis: &RevisedState<'_>, costs: &[f64], eps: f64, y: &mut [f64])
 fn drive_out_artificials(
     basis: &mut RevisedState<'_>,
     eps: f64,
-    options: &SolveOptions,
     ws: &mut Workspace,
 ) -> Result<(), SimplexError> {
     // A repair inside apply_pivot refactorises, which can re-key (permute)
@@ -1975,7 +1853,7 @@ fn drive_out_artificials(
                 basis.ftran_column(col, &mut ws.w);
                 debug_assert!(ws.w.values[row].abs() > eps * 0.5);
                 let repairs_before = basis.repairs;
-                basis.apply_pivot(row, col, &ws.w, false, options)?;
+                basis.apply_pivot(row, col, &ws.w, false)?;
                 if basis.repairs != repairs_before && restarts < basis.num_rows() {
                     restarts += 1;
                     continue 'scan;
@@ -2004,16 +1882,15 @@ mod tests {
         lp.add_constraint(vec![(x, 2.0), (y, 1.0)], Relation::Equal, 4.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Equal, 1.0);
         let sf = standardize(&lp);
-        let options = SolveOptions::default();
         let mut state = RevisedState::new(&sf).unwrap();
 
         let mut w = PatVec::new(2);
         state.ftran_column(0, &mut w);
         let w0 = w.clone();
-        state.apply_pivot(0, 0, &w0, false, &options).unwrap();
+        state.apply_pivot(0, 0, &w0, false).unwrap();
         state.ftran_column(1, &mut w);
         let w1 = w.clone();
-        state.apply_pivot(1, 1, &w1, false, &options).unwrap();
+        state.apply_pivot(1, 1, &w1, false).unwrap();
 
         // B^{-1} = [[0.5, -0.5], [0, 1]]; check on a probe vector.
         let mut v = vec![4.0, 1.0];
@@ -2044,7 +1921,7 @@ mod tests {
         let mut state = PivotState::new(&options);
         let mut basis = RevisedState::new(&sf).unwrap();
         let mut ws = Workspace::new(sf.num_rows(), sf.num_columns());
-        let mut pricing = Pricing::new(sf.num_columns(), PricingRule::Devex);
+        let mut pricing = Pricing::new(sf.num_columns(), false);
 
         // Run phase 1 to completion, then refactorise and compare xb.
         let total = sf.num_columns() + basis.num_artificials();
@@ -2089,7 +1966,6 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 3.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::LessEq, 4.0);
         let sf = standardize(&lp);
-        let options = SolveOptions::default();
         let mut basis = RevisedState::new(&sf).unwrap();
         let good = {
             let mut sorted = basis.basis.clone();
@@ -2102,34 +1978,22 @@ mod tests {
         // fall back to the last good snapshot.
         basis.basis[1] = basis.basis[0];
         assert!(basis.refactorize().is_err());
-        basis.repair(&options, "test corruption", true).unwrap();
+        basis.repair("test corruption", true).unwrap();
         let mut restored = basis.basis.clone();
         restored.sort_unstable();
         assert_eq!(restored, good);
         assert!(basis.repairs >= 1, "repair count must be recorded");
-        assert!(basis.dirty_weights, "a rollback must reset Devex weights");
+        assert!(
+            basis.dirty_weights,
+            "a rollback must reset the pricing weights"
+        );
 
         // With the budget exhausted the same corruption reports breakdown.
-        basis.repair_streak = options.max_repairs;
+        basis.repair_streak = MAX_REPAIRS;
         basis.basis[1] = basis.basis[0];
         assert!(matches!(
-            basis.repair(&options, "test corruption", true),
+            basis.repair("test corruption", true),
             Err(SimplexError::NumericalBreakdown { .. })
         ));
-    }
-
-    #[test]
-    fn partial_pricing_sections_cover_all_columns() {
-        let mut pricing = Pricing::new(10, PricingRule::Devex);
-        pricing.d.fill(1.0);
-        pricing.d[7] = -1.0;
-        pricing.dirty = false;
-        pricing.exact = true;
-        let in_basis = vec![false; 10];
-        let at_upper = vec![false; 10];
-        // A 3-wide section scan must still find the single candidate at 7.
-        assert_eq!(pricing.select(1e-9, 3, &in_basis, &at_upper), Some(7));
-        // And remember where it found it.
-        assert_eq!(pricing.cursor % 10, 6);
     }
 }

@@ -1,20 +1,17 @@
 //! Two-phase primal simplex drivers and the options shared between them.
 //!
-//! Two interchangeable backends sit behind [`LinearProgram::solve_with`]:
+//! Every solve runs one route: the revised simplex over the CSC constraint
+//! matrix, with the basis inverse held as a sparse LU factorisation updated in
+//! place by Forrest–Tomlin rank-one updates and refactorised periodically, so
+//! per-pivot cost is `O(nnz)` (see [`crate::revised`] and [`crate::lu`]).
+//! Phase 2 prices with projected steepest edge, and both phases fall back from
+//! their scoring rule to Bland's rule after a run of degenerate pivots.
 //!
-//! * [`SolverBackend::SparseRevised`] (the default) — the revised simplex method
-//!   over the CSC constraint matrix, with the basis inverse held as a sparse LU
-//!   factorisation updated in place by Forrest–Tomlin rank-one updates and
-//!   refactorised periodically; per-pivot cost is `O(nnz)` (see
-//!   [`crate::revised`] and [`crate::lu`]).
-//! * [`SolverBackend::DenseTableau`] — the classic dense full-tableau method;
-//!   per-pivot cost is `O(rows · cols)`.  Kept as a fallback and as the oracle the
-//!   sparse backend is tested against.  It always prices with the Dantzig rule —
-//!   [`SolveOptions::pricing`] applies to the sparse backend only.
-//!
-//! Both backends share standardisation, anti-cycling rules, and termination
-//! behaviour, so they report the same optima (the backend-agreement integration
-//! tests assert this), differing only in asymptotics.
+//! The classic dense full-tableau method (`O(rows · cols)` per pivot) is kept
+//! only as the oracle the revised simplex is tested against, reachable through
+//! [`LinearProgram::solve_dense_reference`].  Both share standardisation, the
+//! anti-cycling fallback and termination behaviour, so they report the same
+//! optima (the backend-agreement integration tests assert this).
 
 use serde::{Deserialize, Serialize};
 
@@ -25,92 +22,12 @@ use crate::solution::{Solution, SolveStatus};
 use crate::standard::{standardize, StandardForm};
 use crate::tableau::Tableau;
 
-/// Rule used to choose the entering column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PivotRule {
-    /// Most negative reduced cost (classic Dantzig rule).  Fast in practice but can
-    /// cycle on degenerate problems.
-    Dantzig,
-    /// Smallest-index rule (Bland).  Slow but guaranteed to terminate.
-    Bland,
-    /// Dantzig by default, switching to Bland after a run of consecutive degenerate
-    /// pivots and back after the next improving pivot.  This is the default and the
-    /// rule used for all experiments; the ablation bench compares the three.
-    Hybrid {
-        /// Number of consecutive degenerate pivots tolerated before switching to Bland.
-        degenerate_threshold: usize,
-    },
-}
+/// Consecutive degenerate pivots tolerated before the entering rule falls
+/// back to Bland's rule (it returns to the scoring rule after the next
+/// improving pivot).
+const DEGENERATE_THRESHOLD: usize = 64;
 
-impl Default for PivotRule {
-    fn default() -> Self {
-        PivotRule::Hybrid {
-            degenerate_threshold: 64,
-        }
-    }
-}
-
-/// Pricing rule used by the sparse revised backend to score entering
-/// candidates while the anti-cycling machinery of [`PivotRule`] is *not* in
-/// Bland mode.  (With `PivotRule::Dantzig` or `PivotRule::Bland` the classic
-/// rule is forced and this option is ignored.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PricingRule {
-    /// Most negative reduced cost.  Cheap per iteration but blind to column
-    /// scaling, which costs many extra pivots on the heavily degenerate
-    /// mechanism LPs.
-    Dantzig,
-    /// Devex reference-framework pricing (Forrest & Goldfarb): score
-    /// `d_j² / γ_j` with resettable reference weights `γ` updated from the
-    /// pivot row each iteration.  Approximates steepest-edge at a fraction of
-    /// its cost and substantially cuts pivot counts on degenerate problems;
-    /// the default.
-    #[default]
-    Devex,
-    /// Projected steepest-edge pricing (Forrest & Goldfarb): the weights are
-    /// *exact* squared norms of the candidate columns projected onto a
-    /// reference framework, maintained by an update that spends one extra
-    /// BTRAN plus one matrix row pass per pivot.  Each entering column's
-    /// stored weight is verified against the exact norm computed from its
-    /// FTRAN; a large mismatch resets the framework.  Costs noticeably more
-    /// per pivot than Devex and wins where degeneracy makes pivot counts the
-    /// bottleneck.
-    SteepestEdge,
-}
-
-impl std::fmt::Display for PricingRule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PricingRule::Dantzig => write!(f, "dantzig"),
-            PricingRule::Devex => write!(f, "devex"),
-            PricingRule::SteepestEdge => write!(f, "steepest-edge"),
-        }
-    }
-}
-
-/// Which simplex implementation executes the pivots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SolverBackend {
-    /// Revised simplex over the sparse (CSC) matrix with an eta-file basis inverse.
-    /// Per-pivot cost scales with the number of nonzeros — the right asymptotics
-    /// for the mechanism-design LPs, whose rows have 2 to `n+1` nonzeros.
-    #[default]
-    SparseRevised,
-    /// Dense full-tableau simplex.  Per-pivot cost scales with `rows · cols`;
-    /// retained as a fallback and as a differential-testing oracle.
-    DenseTableau,
-}
-
-impl std::fmt::Display for SolverBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SolverBackend::SparseRevised => write!(f, "sparse-revised"),
-            SolverBackend::DenseTableau => write!(f, "dense-tableau"),
-        }
-    }
-}
-
-/// Which form of the linear program the sparse backend pivots on.
+/// Which form of the linear program the revised simplex pivots on.
 ///
 /// The mechanism-design LPs have ~2x more constraint rows than columns, so
 /// their **dual** has a basis half the size — and because every cost is
@@ -160,33 +77,8 @@ pub struct SolveOptions {
     pub max_iterations: usize,
     /// Absolute tolerance used for reduced costs, ratio tests, and feasibility checks.
     pub tolerance: f64,
-    /// Anti-cycling entering rule (Dantzig / Bland / the hybrid fallback).
-    pub pivot_rule: PivotRule,
-    /// Which simplex implementation to run.
-    pub backend: SolverBackend,
-    /// Sparse backend only: refactorise the basis after this many
-    /// Forrest–Tomlin updates.  Lower values cost more factorisations but keep
-    /// the factors sparser and numerically fresher.  Treated as a floor — for
-    /// tall problems the solver stretches the cadence to `rows / 32`, which
-    /// tracks the measured optimum on the mechanism LPs.
-    pub refactor_interval: usize,
-    /// Sparse backend only: how entering candidates are scored outside Bland
-    /// mode (see [`PricingRule`]).
-    pub pricing: PricingRule,
-    /// Sparse backend only: when nonzero, price in cyclic sections of this many
-    /// columns, entering from the first section containing a candidate instead
-    /// of always scanning every column (classic partial pricing).  `0` scans
-    /// the full column range every iteration.
-    pub partial_pricing: usize,
-    /// Sparse backend only: how many *consecutive* numerical breakdowns (with
-    /// no successful basis update in between) may be repaired — by
-    /// refactorising from scratch, falling back to the last good basis —
-    /// before the solve gives up with [`SimplexError::NumericalBreakdown`].
-    /// Isolated breakdowns over a long run each get a fresh budget;
-    /// [`SolveStats::basis_repairs`] reports the total.
-    pub max_repairs: usize,
-    /// Sparse backend only: seed the solve from this standard-form basis (one
-    /// column index per constraint row, as reported by
+    /// Seed the solve from this standard-form basis (one column index per
+    /// constraint row, as reported by
     /// [`Solution::optimal_basis`](crate::Solution::optimal_basis) of an
     /// earlier solve of an *identically shaped* program).  A valid, dual-feasible
     /// seed skips Phase 1 entirely and replaces most of Phase 2 with a short
@@ -203,11 +95,11 @@ pub struct SolveOptions {
     /// [`SolveStats::presolve_cols_removed`] report what it accomplished.
     #[serde(default = "default_presolve")]
     pub presolve: bool,
-    /// Sparse backend only: which form of the LP to pivot on (see [`LpForm`]).
-    /// [`LpForm::Auto`] (the default) solves tall programs in dual form; a
-    /// warm seed composes with either choice — in dual form the stored
-    /// primal-optimal basis is mapped to a dual-feasible seed by
-    /// complementary slackness, so α-sweeps chain warm in dual form too.
+    /// Which form of the LP to pivot on (see [`LpForm`]).  [`LpForm::Auto`]
+    /// (the default) solves tall programs in dual form; a warm seed composes
+    /// with either choice — in dual form the stored primal-optimal basis is
+    /// mapped to a dual-feasible seed by complementary slackness, so α-sweeps
+    /// chain warm in dual form too.
     #[serde(default)]
     pub form: LpForm,
 }
@@ -224,12 +116,6 @@ impl Default for SolveOptions {
         SolveOptions {
             max_iterations: 500_000,
             tolerance: 1e-9,
-            pivot_rule: PivotRule::default(),
-            backend: SolverBackend::default(),
-            refactor_interval: 64,
-            pricing: PricingRule::default(),
-            partial_pricing: 0,
-            max_repairs: 2,
             warm_basis: None,
             presolve: true,
             form: LpForm::default(),
@@ -238,25 +124,21 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// Options tuned for a problem with `num_variables` LP variables: the
-    /// pivot budget scales with the variable count (~60 pivots per variable
-    /// comfortably covers the observed worst case — degenerate constrained
-    /// designs pivot ≈ 3x columns), pricing is projected steepest edge (the
-    /// winner at every measured mechanism-LP size), and [`LpForm::Auto`]
-    /// picks the cheaper of the primal and dual forms.  Chain the `with_*`
-    /// builders below to override a single knob without re-deriving the rest:
+    /// Options for a problem with `num_variables` LP variables: the defaults
+    /// with a pivot budget scaled to the variable count (~60 pivots per
+    /// variable comfortably covers the observed worst case — degenerate
+    /// constrained designs pivot ≈ 3x columns).  Chain the `with_*` builders
+    /// below to override a single knob without re-deriving the rest:
     ///
     /// ```
-    /// use cpm_simplex::{PricingRule, SolveOptions};
-    /// let options = SolveOptions::tuned(4_096).with_pricing(PricingRule::Devex);
-    /// assert_eq!(options.pricing, PricingRule::Devex);
+    /// use cpm_simplex::{LpForm, SolveOptions};
+    /// let options = SolveOptions::tuned(4_096).with_form(LpForm::Primal);
+    /// assert_eq!(options.form, LpForm::Primal);
     /// assert!(options.max_iterations >= 60 * 4_096);
     /// ```
     pub fn tuned(num_variables: usize) -> Self {
         SolveOptions {
             max_iterations: 500_000usize.max(60 * num_variables),
-            pricing: PricingRule::SteepestEdge,
-            form: LpForm::Auto,
             ..SolveOptions::default()
         }
     }
@@ -268,66 +150,10 @@ impl SolveOptions {
         self
     }
 
-    /// Builder: replace [`SolveOptions::tolerance`].
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::pivot_rule`].
-    #[must_use]
-    pub fn with_pivot_rule(mut self, pivot_rule: PivotRule) -> Self {
-        self.pivot_rule = pivot_rule;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::backend`].
-    #[must_use]
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::refactor_interval`].
-    #[must_use]
-    pub fn with_refactor_interval(mut self, refactor_interval: usize) -> Self {
-        self.refactor_interval = refactor_interval;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::pricing`].
-    #[must_use]
-    pub fn with_pricing(mut self, pricing: PricingRule) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::partial_pricing`].
-    #[must_use]
-    pub fn with_partial_pricing(mut self, partial_pricing: usize) -> Self {
-        self.partial_pricing = partial_pricing;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::max_repairs`].
-    #[must_use]
-    pub fn with_max_repairs(mut self, max_repairs: usize) -> Self {
-        self.max_repairs = max_repairs;
-        self
-    }
-
     /// Builder: replace [`SolveOptions::warm_basis`].
     #[must_use]
     pub fn with_warm_basis(mut self, warm_basis: Option<Vec<usize>>) -> Self {
         self.warm_basis = warm_basis;
-        self
-    }
-
-    /// Builder: replace [`SolveOptions::presolve`].
-    #[must_use]
-    pub fn with_presolve(mut self, presolve: bool) -> Self {
-        self.presolve = presolve;
         self
     }
 
@@ -348,35 +174,31 @@ pub struct SolveStats {
     pub phase2_iterations: usize,
     /// Number of pivots that were degenerate (did not change the objective).
     pub degenerate_pivots: usize,
-    /// Number of times the hybrid rule fell back to Bland's rule.
+    /// Number of times the entering rule fell back to Bland's rule.
     pub bland_activations: usize,
     /// Number of artificial variables that were required.
     pub artificial_variables: usize,
-    /// Sparse backend only: how many full LU factorisations of the basis were
-    /// performed (the initial one, the periodic rebuilds, and any repairs).
-    /// This is deliberately **not** the pivot count — each pivot between
+    /// How many full LU factorisations of the basis were performed (the
+    /// initial one, the periodic rebuilds, and any repairs).  This is
+    /// deliberately **not** the pivot count — each pivot between
     /// factorisations is a rank-one update, reported separately in
-    /// [`SolveStats::basis_updates`].
+    /// [`SolveStats::basis_updates`].  Zero for the dense reference.
     pub refactorizations: usize,
-    /// Sparse backend only: total Forrest–Tomlin rank-one basis updates
-    /// applied across the solve (one per pivot that did not trigger a
-    /// refactorisation).
+    /// Total Forrest–Tomlin rank-one basis updates applied across the solve
+    /// (one per pivot that did not trigger a refactorisation).
     pub basis_updates: usize,
-    /// Sparse backend only: how many numerical breakdowns were repaired by
-    /// rebuilding the factorisation (possibly from the last good basis)
-    /// instead of aborting the solve.
+    /// How many numerical breakdowns were repaired by rebuilding the
+    /// factorisation (possibly from the last good basis) instead of aborting
+    /// the solve.
     pub basis_repairs: usize,
-    /// Sparse backend only: how many times the Devex reference framework was
-    /// reset because its weights overflowed their trust bound.
-    pub devex_resets: usize,
-    /// Sparse backend only: how many times the projected steepest-edge
-    /// reference framework was rebuilt because an entering column's stored
-    /// weight disagreed with the exact projected norm of its FTRANed column.
+    /// How many times the projected steepest-edge reference framework was
+    /// rebuilt because an entering column's stored weight disagreed with the
+    /// exact projected norm of its FTRANed column, or a basis repair
+    /// invalidated the weights.
     #[serde(default)]
     pub steepest_edge_resets: usize,
-    /// Sparse backend only: boxed nonbasic variables flipped to their opposite
-    /// bound by the long-step ratio tests instead of being pivoted through the
-    /// basis.
+    /// Boxed nonbasic variables flipped to their opposite bound by the
+    /// long-step ratio tests instead of being pivoted through the basis.
     #[serde(default)]
     pub bound_flips: usize,
     /// Constraint rows removed by presolve before standardisation.
@@ -386,9 +208,9 @@ pub struct SolveStats {
     /// standardisation.
     #[serde(default)]
     pub presolve_cols_removed: usize,
-    /// Sparse backend only: dual-simplex pivots performed by a warm-started
-    /// solve before the primal cleanup confirmed optimality.  Zero for cold
-    /// solves (and for warm seeds that fell back to the primal path).
+    /// Dual-simplex pivots performed by a warm-started solve before the
+    /// primal cleanup confirmed optimality.  Zero for cold solves (and for
+    /// warm seeds that fell back to the primal path).
     #[serde(default)]
     pub dual_iterations: usize,
     /// Whether this solve was produced by the warm-start path (a seeded basis
@@ -403,8 +225,6 @@ pub struct SolveStats {
     /// never `Auto` (that is an *options* value, resolved before the solve).
     #[serde(default = "default_stats_form")]
     pub form: LpForm,
-    /// Which backend produced this solve.
-    pub backend: SolverBackend,
 }
 
 // Pre-dual snapshots carry no `form` field; every solve they describe ran on
@@ -423,7 +243,8 @@ pub(crate) enum PhaseOutcome {
 }
 
 /// Book-keeping shared by both backends: remaining pivot budget, statistics, and
-/// the Dantzig-to-Bland fallback state of the hybrid rule.
+/// the fallback to Bland's rule after [`DEGENERATE_THRESHOLD`] consecutive
+/// degenerate pivots.
 pub(crate) struct PivotState {
     pub iterations_left: usize,
     pub stats: SolveStats,
@@ -436,41 +257,33 @@ impl PivotState {
         PivotState {
             iterations_left: options.max_iterations,
             stats: SolveStats {
-                backend: options.backend,
                 // The dual path overrides this after merging its own counters.
                 form: LpForm::Primal,
                 ..SolveStats::default()
             },
-            using_bland: matches!(options.pivot_rule, PivotRule::Bland),
+            using_bland: false,
             degenerate_streak: 0,
         }
     }
 
-    /// Reset the per-phase Bland fallback (each phase starts from the configured rule).
-    pub fn start_phase(&mut self, options: &SolveOptions) {
-        self.using_bland = matches!(options.pivot_rule, PivotRule::Bland);
+    /// Reset the per-phase Bland fallback (each phase starts on the scoring rule).
+    pub fn start_phase(&mut self) {
+        self.using_bland = false;
         self.degenerate_streak = 0;
     }
 
-    /// Record one pivot and update the hybrid-rule state.
-    pub fn record_pivot(&mut self, options: &SolveOptions, nondegenerate: bool) {
+    /// Record one pivot and update the Bland fallback.
+    pub fn record_pivot(&mut self, nondegenerate: bool) {
         self.iterations_left -= 1;
         if nondegenerate {
             self.degenerate_streak = 0;
-            if let PivotRule::Hybrid { .. } = options.pivot_rule {
-                self.using_bland = false;
-            }
+            self.using_bland = false;
         } else {
             self.stats.degenerate_pivots += 1;
             self.degenerate_streak += 1;
-            if let PivotRule::Hybrid {
-                degenerate_threshold,
-            } = options.pivot_rule
-            {
-                if !self.using_bland && self.degenerate_streak >= degenerate_threshold {
-                    self.using_bland = true;
-                    self.stats.bland_activations += 1;
-                }
+            if !self.using_bland && self.degenerate_streak >= DEGENERATE_THRESHOLD {
+                self.using_bland = true;
+                self.stats.bland_activations += 1;
             }
         }
     }
@@ -489,7 +302,9 @@ pub(crate) struct SolvedPoint {
     pub basis: Option<Vec<usize>>,
 }
 
-/// Solve an already-validated program.  Called by [`LinearProgram::solve_with`].
+/// Solve an already-validated program.  Called by [`LinearProgram::solve_with`]
+/// and, with `dense_reference` set, by
+/// [`LinearProgram::solve_dense_reference`].
 ///
 /// This is the observability choke point for the whole solver: every solve is
 /// wrapped in a `simplex/lp_solve` span, completed stats are folded into the
@@ -502,6 +317,7 @@ pub(crate) struct SolvedPoint {
 pub(crate) fn solve_prepared(
     lp: &LinearProgram,
     options: &SolveOptions,
+    dense_reference: bool,
 ) -> Result<Solution, SimplexError> {
     let span = cpm_obs::span!("simplex", "lp_solve");
     let injected = std::env::var("CPM_OBS_INJECT_BREAKDOWN")
@@ -513,7 +329,7 @@ pub(crate) fn solve_prepared(
             repairs: 0,
         })
     } else {
-        solve_prepared_inner(lp, options)
+        solve_prepared_inner(lp, options, dense_reference)
     };
     match &result {
         Ok(solution) => record_solve_metrics(&solution.stats, span.elapsed_nanos()),
@@ -556,6 +372,7 @@ fn record_solve_metrics(stats: &SolveStats, solve_nanos: u64) {
 fn solve_prepared_inner(
     lp: &LinearProgram,
     options: &SolveOptions,
+    dense_reference: bool,
 ) -> Result<Solution, SimplexError> {
     let presolved = if options.presolve {
         Some(crate::presolve::presolve(lp)?)
@@ -576,7 +393,6 @@ fn solve_prepared_inner(
             objective_value: map.objective_offset,
             values: map.expand_values(&[]),
             stats: SolveStats {
-                backend: options.backend,
                 form: LpForm::Primal,
                 presolve_rows_removed: map.rows_removed,
                 presolve_cols_removed: map.cols_removed,
@@ -586,37 +402,42 @@ fn solve_prepared_inner(
         });
     }
 
-    // The sparse backend understands boxed columns natively (bound-flipping
+    // The revised simplex understands boxed columns natively (bound-flipping
     // ratio test), so two-sided bounds stay as boxes instead of extra rows;
     // the dense tableau still wants the row encoding.  The dual-form path
     // wants the row encoding too (its dualize transform folds slack columns
     // into sign bounds on `y`, which requires every primal column unboxed),
     // so the standard form is chosen together with the resolved LP form.
-    let form = resolve_form(options, lp);
-    let sf = match (options.backend, form) {
-        (SolverBackend::SparseRevised, LpForm::Dual) => standardize(lp),
-        (SolverBackend::SparseRevised, _) => crate::standard::standardize_boxed(lp),
-        (SolverBackend::DenseTableau, _) => standardize(lp),
+    // The dense tableau always pivots on the primal.
+    let form = if dense_reference {
+        LpForm::Primal
+    } else {
+        resolve_form(options, lp)
+    };
+    let sf = if dense_reference || form == LpForm::Dual {
+        standardize(lp)
+    } else {
+        crate::standard::standardize_boxed(lp)
     };
 
     let mut solution = if sf.num_rows() == 0 {
         // No constraints: the optimum of a non-negative-variable LP is attained
         // at the lower bounds unless a negative cost runs to an open upper
         // bound, in which case it is unbounded.
-        solve_unconstrained(&sf, options)?
+        solve_unconstrained(&sf)?
     } else {
-        let point = match options.backend {
-            SolverBackend::SparseRevised => match form {
-                LpForm::Dual => match crate::dual::solve_via_dual(&sf, options)? {
-                    Some(point) => point,
-                    // Ineligible or numerically unlucky dual attempt: the
-                    // primal path is always correct.  The row-encoded form is
-                    // a valid input for it (a superset of the boxed one).
-                    None => revised::solve(&sf, options)?,
-                },
-                _ => revised::solve(&sf, options)?,
-            },
-            SolverBackend::DenseTableau => solve_dense(&sf, options)?,
+        let point = if dense_reference {
+            solve_dense(&sf, options)?
+        } else if form == LpForm::Dual {
+            match crate::dual::solve_via_dual(&sf, options)? {
+                Some(point) => point,
+                // Ineligible or numerically unlucky dual attempt: the primal
+                // path is always correct.  The row-encoded form is a valid
+                // input for it (a superset of the boxed one).
+                None => revised::solve(&sf, options)?,
+            }
+        } else {
+            revised::solve(&sf, options)?
         };
 
         let values = sf.recover_values(&point.z);
@@ -648,11 +469,8 @@ fn solve_prepared_inner(
 /// factorisations — at least [`LpForm::AUTO_MIN_ROWS`] rows and rows ≥
 /// 1.5 · cols — and no variable carries two-sided bounds (boxed columns keep
 /// the primal and dual standard forms, and therefore their warm-basis spaces,
-/// from coinciding).  The dense tableau always pivots on the primal.
+/// from coinciding).
 fn resolve_form(options: &SolveOptions, lp: &LinearProgram) -> LpForm {
-    if options.backend != SolverBackend::SparseRevised {
-        return LpForm::Primal;
-    }
     match options.form {
         LpForm::Primal => LpForm::Primal,
         LpForm::Dual => LpForm::Dual,
@@ -673,10 +491,7 @@ fn resolve_form(options: &SolveOptions, lp: &LinearProgram) -> LpForm {
 }
 
 /// Handle the degenerate "no constraints" case directly.
-fn solve_unconstrained(
-    sf: &StandardForm,
-    options: &SolveOptions,
-) -> Result<Solution, SimplexError> {
+fn solve_unconstrained(sf: &StandardForm) -> Result<Solution, SimplexError> {
     // A negative-cost column runs to its upper bound — or without bound when
     // the box is open above.
     let mut z = vec![0.0; sf.num_columns()];
@@ -704,7 +519,6 @@ fn solve_unconstrained(
         objective_value,
         values,
         stats: SolveStats {
-            backend: options.backend,
             form: LpForm::Primal,
             ..SolveStats::default()
         },
@@ -713,7 +527,7 @@ fn solve_unconstrained(
 }
 
 // ---------------------------------------------------------------------------
-// Dense tableau backend.
+// Dense tableau reference backend.
 // ---------------------------------------------------------------------------
 
 fn solve_dense(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint, SimplexError> {
@@ -783,7 +597,7 @@ fn solve_dense(sf: &StandardForm, options: &SolveOptions) -> Result<SolvedPoint,
     let mut phase2_costs = sf.costs.clone();
     phase2_costs.resize(total_columns, 0.0);
     tableau.set_costs(&phase2_costs);
-    state.start_phase(options);
+    state.start_phase();
     let before = state.iterations_left;
     let outcome = run_phase(
         &mut tableau,
@@ -847,7 +661,7 @@ fn run_phase(
         };
 
         let nondegenerate = tableau.pivot(row, col);
-        state.record_pivot(options, nondegenerate);
+        state.record_pivot(nondegenerate);
     }
 }
 
@@ -916,15 +730,13 @@ mod tests {
         assert!((a - b).abs() < 1e-7, "{a} != {b}");
     }
 
-    /// Both backends, so every shared driver test exercises each implementation.
-    const BACKENDS: [SolverBackend; 2] =
-        [SolverBackend::SparseRevised, SolverBackend::DenseTableau];
-
-    fn options_for(backend: SolverBackend) -> SolveOptions {
-        SolveOptions {
-            backend,
-            ..SolveOptions::default()
-        }
+    /// Solve on the revised simplex and on the dense reference, so every
+    /// shared driver test exercises both implementations.
+    fn solve_both(
+        lp: &LinearProgram,
+        options: &SolveOptions,
+    ) -> [Result<Solution, SimplexError>; 2] {
+        [lp.solve_with(options), lp.solve_dense_reference(options)]
     }
 
     /// Pre-PR-6 serialized options carry no `presolve` field and pre-dual
@@ -961,35 +773,34 @@ mod tests {
     #[test]
     fn classic_textbook_maximisation() {
         // max 3x + 5y subject to x <= 4, 2y <= 12, 3x + 2y <= 18.
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::maximize();
-            let x = lp.add_variable("x");
-            let y = lp.add_variable("y");
-            lp.set_objective_coefficient(x, 3.0);
-            lp.set_objective_coefficient(y, 5.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 4.0);
-            lp.add_constraint(vec![(y, 2.0)], Relation::LessEq, 12.0);
-            lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Relation::LessEq, 18.0);
-            let solution = lp.solve_with(&options_for(backend)).unwrap();
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_variable("x");
+        let y = lp.add_variable("y");
+        lp.set_objective_coefficient(x, 3.0);
+        lp.set_objective_coefficient(y, 5.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 4.0);
+        lp.add_constraint(vec![(y, 2.0)], Relation::LessEq, 12.0);
+        lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Relation::LessEq, 18.0);
+        for solution in solve_both(&lp, &SolveOptions::default()) {
+            let solution = solution.unwrap();
             assert_close(solution.objective_value, 36.0);
             assert_close(solution.value(x), 2.0);
             assert_close(solution.value(y), 6.0);
-            assert_eq!(solution.stats.backend, backend);
         }
     }
 
     #[test]
     fn equality_constraints_need_phase_one() {
         // min x + 2y subject to x + y = 10, x - y >= 2.
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::minimize();
-            let x = lp.add_variable("x");
-            let y = lp.add_variable("y");
-            lp.set_objective_coefficient(x, 1.0);
-            lp.set_objective_coefficient(y, 2.0);
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Equal, 10.0);
-            lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::GreaterEq, 2.0);
-            let solution = lp.solve_with(&options_for(backend)).unwrap();
+        let mut lp = LinearProgram::minimize();
+        let x = lp.add_variable("x");
+        let y = lp.add_variable("y");
+        lp.set_objective_coefficient(x, 1.0);
+        lp.set_objective_coefficient(y, 2.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Equal, 10.0);
+        lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::GreaterEq, 2.0);
+        for solution in solve_both(&lp, &SolveOptions::default()) {
+            let solution = solution.unwrap();
             // Optimal at y = 0, x = 10 -> objective 10.
             assert_close(solution.objective_value, 10.0);
             assert_close(solution.value(x), 10.0);
@@ -1000,29 +811,23 @@ mod tests {
 
     #[test]
     fn infeasible_program_is_detected() {
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::minimize();
-            let x = lp.add_variable("x");
-            lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 1.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::GreaterEq, 2.0);
-            assert_eq!(
-                lp.solve_with(&options_for(backend)).unwrap_err(),
-                SimplexError::Infeasible
-            );
+        let mut lp = LinearProgram::minimize();
+        let x = lp.add_variable("x");
+        lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 1.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::GreaterEq, 2.0);
+        for result in solve_both(&lp, &SolveOptions::default()) {
+            assert_eq!(result.unwrap_err(), SimplexError::Infeasible);
         }
     }
 
     #[test]
     fn unbounded_program_is_detected() {
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::maximize();
-            let x = lp.add_variable("x");
-            lp.set_objective_coefficient(x, 1.0);
-            lp.add_constraint(vec![(x, -1.0)], Relation::LessEq, 1.0);
-            assert_eq!(
-                lp.solve_with(&options_for(backend)).unwrap_err(),
-                SimplexError::Unbounded
-            );
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_variable("x");
+        lp.set_objective_coefficient(x, 1.0);
+        lp.add_constraint(vec![(x, -1.0)], Relation::LessEq, 1.0);
+        for result in solve_both(&lp, &SolveOptions::default()) {
+            assert_eq!(result.unwrap_err(), SimplexError::Unbounded);
         }
     }
 
@@ -1046,98 +851,46 @@ mod tests {
 
     #[test]
     fn degenerate_problem_terminates_with_anticycling_rules() {
-        // Beale's classic cycling example.  The pure Dantzig rule cycles forever on
-        // this instance (that is the point of the example, and why the hybrid rule is
-        // the default); Bland and the hybrid rule must terminate with objective -0.05.
-        for backend in BACKENDS {
-            for rule in [
-                PivotRule::Bland,
-                PivotRule::Hybrid {
-                    degenerate_threshold: 4,
-                },
-            ] {
-                let mut lp = LinearProgram::minimize();
-                let x1 = lp.add_variable("x1");
-                let x2 = lp.add_variable("x2");
-                let x3 = lp.add_variable("x3");
-                let x4 = lp.add_variable("x4");
-                lp.set_objective_coefficient(x1, -0.75);
-                lp.set_objective_coefficient(x2, 150.0);
-                lp.set_objective_coefficient(x3, -0.02);
-                lp.set_objective_coefficient(x4, 6.0);
-                lp.add_constraint(
-                    vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-                    Relation::LessEq,
-                    0.0,
-                );
-                lp.add_constraint(
-                    vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-                    Relation::LessEq,
-                    0.0,
-                );
-                lp.add_constraint(vec![(x3, 1.0)], Relation::LessEq, 1.0);
-                let options = SolveOptions {
-                    pivot_rule: rule,
-                    backend,
-                    ..SolveOptions::default()
-                };
-                let solution = lp.solve_with(&options).unwrap();
-                assert_close(solution.objective_value, -0.05);
-            }
-        }
-    }
-
-    #[test]
-    fn dantzig_rule_cycles_on_beale_and_hits_the_iteration_limit() {
-        // Companion to the test above: document that the pure Dantzig rule does cycle
-        // on Beale's example, which is why it is not the default.
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::minimize();
-            let x1 = lp.add_variable("x1");
-            let x2 = lp.add_variable("x2");
-            let x3 = lp.add_variable("x3");
-            let x4 = lp.add_variable("x4");
-            lp.set_objective_coefficient(x1, -0.75);
-            lp.set_objective_coefficient(x2, 150.0);
-            lp.set_objective_coefficient(x3, -0.02);
-            lp.set_objective_coefficient(x4, 6.0);
-            lp.add_constraint(
-                vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-                Relation::LessEq,
-                0.0,
-            );
-            lp.add_constraint(
-                vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-                Relation::LessEq,
-                0.0,
-            );
-            lp.add_constraint(vec![(x3, 1.0)], Relation::LessEq, 1.0);
-            let options = SolveOptions {
-                pivot_rule: PivotRule::Dantzig,
-                max_iterations: 10_000,
-                backend,
-                ..SolveOptions::default()
-            };
-            match lp.solve_with(&options) {
-                Err(SimplexError::IterationLimit { .. }) => {}
-                Ok(solution) => assert_close(solution.objective_value, -0.05),
-                Err(other) => panic!("unexpected error: {other}"),
-            }
+        // Beale's classic cycling example: the pure Dantzig rule cycles forever
+        // on this instance, so termination relies on the fallback to Bland's
+        // rule after a run of degenerate pivots.  The optimum is -0.05.
+        let mut lp = LinearProgram::minimize();
+        let x1 = lp.add_variable("x1");
+        let x2 = lp.add_variable("x2");
+        let x3 = lp.add_variable("x3");
+        let x4 = lp.add_variable("x4");
+        lp.set_objective_coefficient(x1, -0.75);
+        lp.set_objective_coefficient(x2, 150.0);
+        lp.set_objective_coefficient(x3, -0.02);
+        lp.set_objective_coefficient(x4, 6.0);
+        lp.add_constraint(
+            vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
+            Relation::LessEq,
+            0.0,
+        );
+        lp.add_constraint(
+            vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
+            Relation::LessEq,
+            0.0,
+        );
+        lp.add_constraint(vec![(x3, 1.0)], Relation::LessEq, 1.0);
+        for solution in solve_both(&lp, &SolveOptions::default()) {
+            assert_close(solution.unwrap().objective_value, -0.05);
         }
     }
 
     #[test]
     fn redundant_equalities_are_tolerated() {
         // x + y = 4 stated twice; the second row becomes redundant after Phase 1.
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::minimize();
-            let x = lp.add_variable("x");
-            let y = lp.add_variable("y");
-            lp.set_objective_coefficient(x, 1.0);
-            lp.set_objective_coefficient(y, 3.0);
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Equal, 4.0);
-            lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Equal, 4.0);
-            let solution = lp.solve_with(&options_for(backend)).unwrap();
+        let mut lp = LinearProgram::minimize();
+        let x = lp.add_variable("x");
+        let y = lp.add_variable("y");
+        lp.set_objective_coefficient(x, 1.0);
+        lp.set_objective_coefficient(y, 3.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Equal, 4.0);
+        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Equal, 4.0);
+        for solution in solve_both(&lp, &SolveOptions::default()) {
+            let solution = solution.unwrap();
             assert_close(solution.objective_value, 4.0);
             assert_close(solution.value(x), 4.0);
         }
@@ -1154,7 +907,6 @@ mod tests {
         let solution = lp.solve().unwrap();
         assert!(solution.stats.phase1_iterations + solution.stats.phase2_iterations >= 1);
         assert_eq!(solution.stats.artificial_variables, 1);
-        assert_eq!(solution.stats.backend, SolverBackend::SparseRevised);
         // LU accounting: the initial factorisation always runs, every pivot is
         // a rank-one update, and a clean solve needs no repairs.
         assert!(solution.stats.refactorizations >= 1);
@@ -1170,48 +922,20 @@ mod tests {
 
     #[test]
     fn iteration_limit_is_enforced() {
-        for backend in BACKENDS {
-            let mut lp = LinearProgram::maximize();
-            let x = lp.add_variable("x");
-            let y = lp.add_variable("y");
-            lp.set_objective_coefficient(x, 3.0);
-            lp.set_objective_coefficient(y, 5.0);
-            lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 4.0);
-            lp.add_constraint(vec![(y, 2.0)], Relation::LessEq, 12.0);
-            lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Relation::LessEq, 18.0);
-            let options = SolveOptions {
-                max_iterations: 1,
-                backend,
-                ..SolveOptions::default()
-            };
+        let mut lp = LinearProgram::maximize();
+        let x = lp.add_variable("x");
+        let y = lp.add_variable("y");
+        lp.set_objective_coefficient(x, 3.0);
+        lp.set_objective_coefficient(y, 5.0);
+        lp.add_constraint(vec![(x, 1.0)], Relation::LessEq, 4.0);
+        lp.add_constraint(vec![(y, 2.0)], Relation::LessEq, 12.0);
+        lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Relation::LessEq, 18.0);
+        let options = SolveOptions::default().with_max_iterations(1);
+        for result in solve_both(&lp, &options) {
             assert!(matches!(
-                lp.solve_with(&options).unwrap_err(),
+                result.unwrap_err(),
                 SimplexError::IterationLimit { limit: 1 }
             ));
         }
-    }
-
-    #[test]
-    fn aggressive_refactorisation_still_solves() {
-        // refactor_interval = 1 forces a rebuild after every pivot; the answer must
-        // not change, only the refactorisation count.
-        let mut lp = LinearProgram::minimize();
-        let vars = lp.add_variables("p", 6);
-        for (i, v) in vars.iter().enumerate() {
-            lp.set_objective_coefficient(*v, 1.0 + i as f64);
-        }
-        lp.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::Equal, 1.0);
-        for w in vars.windows(2) {
-            lp.add_constraint(vec![(w[0], 1.0), (w[1], -0.5)], Relation::GreaterEq, 0.0);
-        }
-        let baseline = lp.solve().unwrap();
-        let aggressive = lp
-            .solve_with(&SolveOptions {
-                refactor_interval: 1,
-                ..SolveOptions::default()
-            })
-            .unwrap();
-        assert_close(baseline.objective_value, aggressive.objective_value);
-        assert!(aggressive.stats.refactorizations >= baseline.stats.refactorizations);
     }
 }

@@ -1,5 +1,5 @@
-//! Differential tests: the sparse revised-simplex backend and the dense tableau
-//! backend must classify every program identically (optimal / infeasible /
+//! Differential tests: the sparse revised simplex and the dense tableau
+//! reference must classify every program identically (optimal / infeasible /
 //! unbounded) and report the same optimal objective value, on the
 //! mechanism-design-shaped LPs this workspace exists for as well as on degenerate
 //! and pathological edge cases.
@@ -12,30 +12,23 @@
 // index loops are clearer than iterator chains here.
 #![allow(clippy::needless_range_loop)]
 
-use cpm_simplex::{
-    LinearProgram, PivotRule, Relation, SimplexError, SolveOptions, SolverBackend, VariableId,
-};
+use cpm_simplex::{LinearProgram, Relation, SimplexError, Solution, SolveOptions, VariableId};
 use proptest::prelude::*;
 
 const AGREEMENT_TOLERANCE: f64 = 1e-6;
 
-fn options(backend: SolverBackend) -> SolveOptions {
-    SolveOptions {
-        backend,
-        max_iterations: 2_000_000,
-        ..SolveOptions::default()
-    }
+/// Solve on the revised simplex (sparse) and the dense tableau reference.
+fn solve_both(lp: &LinearProgram) -> [Result<Solution, SimplexError>; 2] {
+    let options = SolveOptions::default().with_max_iterations(2_000_000);
+    [lp.solve_with(&options), lp.solve_dense_reference(&options)]
 }
 
 /// Solve with both backends; expect both to succeed and agree on the objective.
 /// Returns the two objective values for further checks.
 fn assert_backends_agree(lp: &LinearProgram, label: &str) -> (f64, f64) {
-    let sparse = lp
-        .solve_with(&options(SolverBackend::SparseRevised))
-        .unwrap_or_else(|e| panic!("{label}: sparse backend failed: {e}"));
-    let dense = lp
-        .solve_with(&options(SolverBackend::DenseTableau))
-        .unwrap_or_else(|e| panic!("{label}: dense backend failed: {e}"));
+    let [sparse, dense] = solve_both(lp);
+    let sparse = sparse.unwrap_or_else(|e| panic!("{label}: sparse backend failed: {e}"));
+    let dense = dense.unwrap_or_else(|e| panic!("{label}: dense backend failed: {e}"));
     assert!(
         (sparse.objective_value - dense.objective_value).abs() < AGREEMENT_TOLERANCE,
         "{label}: sparse {} vs dense {}",
@@ -101,13 +94,13 @@ fn backends_agree_on_mechanism_shaped_lps() {
                 "{label}: objective {sparse_objective} disagrees with the closed form"
             );
             // Each backend's point must be a column-stochastic matrix.
-            for backend in [SolverBackend::SparseRevised, SolverBackend::DenseTableau] {
-                let solution = lp.solve_with(&options(backend)).unwrap();
+            for (backend, solution) in ["sparse", "dense"].into_iter().zip(solve_both(&lp)) {
+                let solution = solution.unwrap();
                 for j in 0..=n {
                     let total: f64 = (0..=n).map(|i| solution.value(vars[i][j])).sum();
                     assert!(
                         (total - 1.0).abs() < 1e-7,
-                        "{label} ({backend:?}): column {j} sums to {total}"
+                        "{label} ({backend}): column {j} sums to {total}"
                     );
                     for i in 0..=n {
                         assert!(
@@ -135,61 +128,21 @@ fn backends_agree_with_weak_honesty_rows() {
     }
 }
 
+/// Between them the two backends run every entering rule the solver has:
+/// Dantzig scoring (the dense tableau, and the revised simplex's Phase 1),
+/// projected steepest edge (the revised Phase 2), and the Bland fallback both
+/// share.  All of them must land on the same optimum.
 #[test]
 fn backends_agree_on_all_pivot_rules() {
     let (lp, _) = basic_dp_lp(5, 0.76);
-    let mut objectives = Vec::new();
-    for backend in [SolverBackend::SparseRevised, SolverBackend::DenseTableau] {
-        for rule in [
-            PivotRule::Dantzig,
-            PivotRule::Bland,
-            PivotRule::Hybrid {
-                degenerate_threshold: 16,
-            },
-        ] {
-            let solve_options = SolveOptions {
-                pivot_rule: rule,
-                ..options(backend)
-            };
-            objectives.push(lp.solve_with(&solve_options).unwrap().objective_value);
-        }
-    }
-    for pair in objectives.windows(2) {
-        assert!(
-            (pair[0] - pair[1]).abs() < AGREEMENT_TOLERANCE,
-            "{objectives:?}"
-        );
-    }
-}
-
-#[test]
-fn pricing_rules_and_partial_pricing_agree_with_the_oracle() {
-    use cpm_simplex::PricingRule;
-    let (lp, _) = basic_dp_lp(6, 0.9);
-    let dense = lp
-        .solve_with(&options(SolverBackend::DenseTableau))
-        .unwrap()
-        .objective_value;
-    for pricing in [PricingRule::Devex, PricingRule::Dantzig] {
-        for partial in [0usize, 7, 64] {
-            let solve_options = SolveOptions {
-                pricing,
-                partial_pricing: partial,
-                ..options(SolverBackend::SparseRevised)
-            };
-            let solution = lp.solve_with(&solve_options).unwrap();
-            assert!(
-                (solution.objective_value - dense).abs() < AGREEMENT_TOLERANCE,
-                "pricing {pricing} partial {partial}: {} vs {dense}",
-                solution.objective_value
-            );
-        }
-    }
+    let (sparse, dense) = assert_backends_agree(&lp, "basic_dp n=5 alpha=0.76");
+    assert!((sparse - geometric_optimum(5, 0.76)).abs() < 1e-7);
+    assert!((dense - geometric_optimum(5, 0.76)).abs() < 1e-7);
 }
 
 #[test]
 fn backends_agree_on_degenerate_beale() {
-    // Beale's cycling example — maximally degenerate; the hybrid rule must reach
+    // Beale's cycling example — maximally degenerate; the Bland fallback must reach
     // the same optimum through either backend.
     let mut lp = LinearProgram::minimize();
     let x1 = lp.add_variable("x1");
@@ -222,12 +175,8 @@ fn backends_agree_that_contradictory_rows_are_infeasible() {
     let y = lp.add_variable("y");
     lp.add_constraint([(x, 1.0), (y, 1.0)], Relation::Equal, 1.0);
     lp.add_constraint([(x, 1.0), (y, 1.0)], Relation::Equal, 2.0);
-    for backend in [SolverBackend::SparseRevised, SolverBackend::DenseTableau] {
-        assert_eq!(
-            lp.solve_with(&options(backend)).unwrap_err(),
-            SimplexError::Infeasible,
-            "{backend:?}"
-        );
+    for result in solve_both(&lp) {
+        assert_eq!(result.unwrap_err(), SimplexError::Infeasible);
     }
 }
 
@@ -239,12 +188,8 @@ fn backends_agree_that_open_programs_are_unbounded() {
     lp.set_objective_coefficient(x, 1.0);
     lp.set_objective_coefficient(y, 2.0);
     lp.add_constraint([(x, 1.0), (y, -1.0)], Relation::LessEq, 3.0);
-    for backend in [SolverBackend::SparseRevised, SolverBackend::DenseTableau] {
-        assert_eq!(
-            lp.solve_with(&options(backend)).unwrap_err(),
-            SimplexError::Unbounded,
-            "{backend:?}"
-        );
+    for result in solve_both(&lp) {
+        assert_eq!(result.unwrap_err(), SimplexError::Unbounded);
     }
 }
 
@@ -289,8 +234,8 @@ proptest! {
         for &v in &vars {
             lp.add_constraint([(v, 1.0)], Relation::LessEq, 1.0);
         }
-        let sparse = lp.solve_with(&options(SolverBackend::SparseRevised)).unwrap();
-        let dense = lp.solve_with(&options(SolverBackend::DenseTableau)).unwrap();
+        let [sparse, dense] = solve_both(&lp);
+        let (sparse, dense) = (sparse.unwrap(), dense.unwrap());
         prop_assert!(
             (sparse.objective_value - dense.objective_value).abs() < AGREEMENT_TOLERANCE,
             "sparse {} vs dense {}", sparse.objective_value, dense.objective_value
@@ -338,8 +283,7 @@ proptest! {
         for &v in &vars {
             lp.add_constraint([(v, 1.0)], Relation::LessEq, 1.0);
         }
-        let sparse = lp.solve_with(&options(SolverBackend::SparseRevised));
-        let dense = lp.solve_with(&options(SolverBackend::DenseTableau));
+        let [sparse, dense] = solve_both(&lp);
         match (sparse, dense) {
             (Ok(s), Ok(d)) => prop_assert!(
                 (s.objective_value - d.objective_value).abs() < AGREEMENT_TOLERANCE,
@@ -354,8 +298,8 @@ proptest! {
     #[test]
     fn prop_backends_agree_on_random_dp_instances(n in 1usize..6, alpha in 0.05f64..0.99) {
         let (lp, _) = basic_dp_lp(n, alpha);
-        let sparse = lp.solve_with(&options(SolverBackend::SparseRevised)).unwrap();
-        let dense = lp.solve_with(&options(SolverBackend::DenseTableau)).unwrap();
+        let [sparse, dense] = solve_both(&lp);
+        let (sparse, dense) = (sparse.unwrap(), dense.unwrap());
         prop_assert!(
             (sparse.objective_value - dense.objective_value).abs() < AGREEMENT_TOLERANCE,
             "sparse {} vs dense {}", sparse.objective_value, dense.objective_value

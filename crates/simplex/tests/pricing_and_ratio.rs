@@ -1,13 +1,13 @@
-//! Differential unit tests for the pricing rules (Devex vs projected steepest
-//! edge vs Dantzig) and the long-step/bound-flipping ratio test: every rule
-//! must land on the same optimum, and boxed LPs must flip bounds instead of
-//! pivoting where the long step applies.
+//! Differential unit tests for projected steepest-edge pricing and the
+//! long-step/bound-flipping ratio test: the revised simplex must land on the
+//! dense oracle's optimum, and boxed LPs must flip bounds instead of pivoting
+//! where the long step applies.
 
 // The grid construction mirrors the paper's double-subscript notation; explicit
 // index loops are clearer than iterator chains here.
 #![allow(clippy::needless_range_loop)]
 
-use cpm_simplex::{LinearProgram, PricingRule, Relation, SolveOptions, SolverBackend, VariableId};
+use cpm_simplex::{LinearProgram, Relation, SolveOptions, VariableId};
 
 /// The BASICDP-shaped grid LP from the mechanism formulation (see
 /// `mechanism_shaped_lps.rs`): degenerate, ratio-coupled, equality-normalised.
@@ -47,50 +47,31 @@ fn dp_lp(n: usize, alpha: f64) -> LinearProgram {
     lp
 }
 
-fn sparse_options(pricing: PricingRule) -> SolveOptions {
-    SolveOptions {
-        backend: SolverBackend::SparseRevised,
-        pricing,
-        max_iterations: 2_000_000,
-        ..SolveOptions::default()
-    }
+fn options() -> SolveOptions {
+    SolveOptions::default().with_max_iterations(2_000_000)
 }
 
+/// Devex and Dantzig are no longer Phase-2 options: Dantzig survives as the
+/// dense oracle's rule (and Phase 1's), so steepest edge is checked against
+/// that, on the larger and more degenerate of the two grid instances.
 #[test]
 fn steepest_edge_agrees_with_devex_and_dantzig_on_the_dp_lp() {
     let lp = dp_lp(6, 0.76);
-    let devex = lp.solve_with(&sparse_options(PricingRule::Devex)).unwrap();
-    let steepest = lp
-        .solve_with(&sparse_options(PricingRule::SteepestEdge))
-        .unwrap();
-    let dantzig = lp
-        .solve_with(&sparse_options(PricingRule::Dantzig))
-        .unwrap();
-    assert!((steepest.objective_value - devex.objective_value).abs() < 1e-8);
+    let steepest = lp.solve_with(&options()).unwrap();
+    let dantzig = lp.solve_dense_reference(&options()).unwrap();
     assert!((steepest.objective_value - dantzig.objective_value).abs() < 1e-8);
-    // Both reference-framework rules must actually have run their machinery.
+    // Phase 2 (the steepest-edge phase) must actually have pivoted.
     assert!(steepest.stats.phase2_iterations > 0);
-    assert!(devex.stats.phase2_iterations > 0);
-    // Resets are rare on a well-conditioned LP but the counters must at least
-    // be wired: Devex resets belong to Devex runs, steepest-edge resets to
-    // steepest-edge runs.
-    assert_eq!(steepest.stats.devex_resets, 0);
-    assert_eq!(devex.stats.steepest_edge_resets, 0);
+    assert!(dantzig.stats.phase2_iterations > 0);
 }
 
 #[test]
 fn steepest_edge_agrees_with_the_dense_oracle() {
     let lp = dp_lp(5, 0.62);
-    let sparse = lp
-        .solve_with(&sparse_options(PricingRule::SteepestEdge))
-        .unwrap();
-    let dense = lp
-        .solve_with(&SolveOptions {
-            backend: SolverBackend::DenseTableau,
-            ..SolveOptions::default()
-        })
-        .unwrap();
+    let sparse = lp.solve_with(&options()).unwrap();
+    let dense = lp.solve_dense_reference(&options()).unwrap();
     assert!((sparse.objective_value - dense.objective_value).abs() < 1e-8);
+    assert!(sparse.stats.phase2_iterations > 0);
 }
 
 /// A pure box LP: maximise the sum of K variables in `[0, 1]` under one loose
@@ -113,7 +94,7 @@ fn loose_caps_are_solved_by_bound_flips_not_pivots() {
         Relation::LessEq,
         2.0 * K as f64,
     );
-    let solution = lp.solve_with(&sparse_options(PricingRule::Devex)).unwrap();
+    let solution = lp.solve_with(&options()).unwrap();
     assert!((solution.objective_value - -(K as f64)).abs() < 1e-9);
     for &v in &vars {
         assert!((solution.value(v) - 1.0).abs() < 1e-9);
@@ -144,15 +125,8 @@ fn tight_caps_mix_flips_and_pivots_and_agree_with_dense() {
         })
         .collect();
     lp.add_constraint(vars.iter().map(|&v| (v, 1.0)), Relation::LessEq, cap);
-    let sparse = lp
-        .solve_with(&sparse_options(PricingRule::SteepestEdge))
-        .unwrap();
-    let dense = lp
-        .solve_with(&SolveOptions {
-            backend: SolverBackend::DenseTableau,
-            ..SolveOptions::default()
-        })
-        .unwrap();
+    let sparse = lp.solve_with(&options()).unwrap();
+    let dense = lp.solve_dense_reference(&options()).unwrap();
     // Greedy closed form: x0..x3 = 1, x4 = 0.5 -> -(8+7+6+5) - 4*0.5.
     let expected = -(8.0 + 7.0 + 6.0 + 5.0) - 4.0 * 0.5;
     assert!((sparse.objective_value - expected).abs() < 1e-9);
