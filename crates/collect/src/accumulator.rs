@@ -199,10 +199,14 @@ impl ReportCollector {
 
     /// Ingest a batch of outputs for a single key — the line-rate path.
     ///
-    /// The shard lock is taken once; each report is a single relaxed atomic
-    /// add.  Out-of-range outputs — and whole batches for inadmissible keys
-    /// (group size beyond [`wire::REPORT_MAX_N`], or a new key past the
-    /// `max_keys` cap) — are counted as rejected, never panicked on.
+    /// The shard lock is taken once.  A batch of at least `n + 1` reports (by
+    /// its iterator's lower size bound) is summed into a local histogram and
+    /// applied with one relaxed atomic add per non-zero output — increments
+    /// commute, so the final counts are the same; a shorter batch adds each
+    /// report directly and allocates nothing.  Out-of-range outputs — and
+    /// whole batches for inadmissible keys (group size beyond
+    /// [`wire::REPORT_MAX_N`], or a new key past the `max_keys` cap) — are
+    /// counted as rejected, never panicked on.
     pub fn ingest_batch(
         &self,
         key: &SpecKey,
@@ -213,13 +217,32 @@ impl ReportCollector {
         let mut summary = IngestSummary::default();
         match accumulator {
             Some(accumulator) => {
-                let dim = accumulator.counts.len();
-                for output in outputs {
-                    if output < dim {
-                        accumulator.counts[output].fetch_add(1, Ordering::Relaxed);
-                        summary.accepted += 1;
-                    } else {
-                        summary.rejected += 1;
+                let counts = &accumulator.counts;
+                let dim = counts.len();
+                let outputs = outputs.into_iter();
+                if outputs.size_hint().0 >= dim {
+                    let mut local = vec![0u64; dim];
+                    for output in outputs {
+                        match local.get_mut(output) {
+                            Some(count) => *count += 1,
+                            None => summary.rejected += 1,
+                        }
+                    }
+                    for (counter, &count) in counts.iter().zip(&local) {
+                        if count > 0 {
+                            counter.fetch_add(count, Ordering::Relaxed);
+                            summary.accepted += count;
+                        }
+                    }
+                } else {
+                    for output in outputs {
+                        match counts.get(output) {
+                            Some(counter) => {
+                                counter.fetch_add(1, Ordering::Relaxed);
+                                summary.accepted += 1;
+                            }
+                            None => summary.rejected += 1,
+                        }
                     }
                 }
             }
@@ -519,6 +542,38 @@ mod tests {
         assert_eq!(stats.ingested + stats.rejected, 5);
         assert!(stats.rejected > 0);
         assert_eq!(source.total(&a) + source.total(&b), 5);
+    }
+
+    #[test]
+    fn summed_ingest_equals_per_report_ingest() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let keys = [key(2, 0.5), key(6, 0.5), key(6, 0.9), key(32, 0.9)];
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Three keys fit: the fourth distinct key is past max_keys.
+            let summed = ReportCollector::with_limits(4, 3);
+            let single = ReportCollector::with_limits(4, 3);
+            for _ in 0..16 {
+                let k = keys[rng.gen_range(0..keys.len())];
+                // Runs both shorter and longer than n + 1, with a few
+                // out-of-range outputs mixed in.
+                let length = rng.gen_range(0..3 * (k.n + 1));
+                let outputs: Vec<usize> = (0..length).map(|_| rng.gen_range(0..k.n + 3)).collect();
+                // A filtered iterator has no lower size bound, so the
+                // reference always takes the per-report path.
+                let expected = single.ingest_batch(&k, outputs.iter().copied().filter(|_| true));
+                assert_eq!(summed.ingest_batch(&k, outputs), expected, "seed {seed}");
+            }
+            for k in keys {
+                assert_eq!(summed.observed(&k), single.observed(&k), "seed {seed}");
+            }
+            let (a, b) = (summed.stats(), single.stats());
+            assert_eq!(
+                (a.ingested, a.rejected, a.keys),
+                (b.ingested, b.rejected, b.keys)
+            );
+        }
     }
 
     #[test]

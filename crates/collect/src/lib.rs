@@ -11,7 +11,7 @@
 //! ```text
 //!  clients                    collector
 //!  ───────                    ─────────
-//!  draw ~ M(·|input) ──report──▶ wire::decode_batch      (b"CPMR" frames)
+//!  draw ~ M(·|input) ──report──▶ wire::decode_runs       (b"CPMR" frames)
 //!                                   │
 //!                                   ▼
 //!                              ReportCollector            (lock-striped,
@@ -25,10 +25,12 @@
 //!
 //! * [`wire`] — the fixed-size binary report format (20-byte records under a
 //!   versioned batch header) that rides the serve front end's length-prefixed
-//!   framing; every field validated on decode.
+//!   framing; every field validated on decode, and a frame decoded as runs of
+//!   records that share a key, each key validated once per run.
 //! * [`accumulator`] — [`ReportCollector`]: per-key output histograms sharded
 //!   like the design cache, one shard-lock acquisition per batch and one
-//!   relaxed atomic add per report, with saturating cross-collector merge.
+//!   relaxed atomic add per report (per non-zero output when a batch holds
+//!   at least `n + 1` reports), with saturating cross-collector merge.
 //! * [`estimator`] — the matrix-inversion estimator over a
 //!   [`DesignedMechanism`](cpm_core::DesignedMechanism)'s cached inverse,
 //!   plus the closed-form [`expected_rmse`] oracle the end-to-end tests
@@ -55,7 +57,7 @@ pub use estimator::{
     estimate, estimate_from_design, estimate_with_inverse, expected_rmse, FrequencyEstimates,
 };
 pub use snapshot::EstimateSnapshot;
-pub use wire::{Report, WireError, REPORT_MAGIC, REPORT_MAX_N, WIRE_VERSION};
+pub use wire::{Report, ReportRuns, WireError, REPORT_MAGIC, REPORT_MAX_N, WIRE_VERSION};
 
 /// Commonly used items, re-exported for `use cpm_collect::prelude::*`.
 pub mod prelude {
@@ -64,5 +66,5 @@ pub mod prelude {
         estimate, estimate_from_design, estimate_with_inverse, expected_rmse, FrequencyEstimates,
     };
     pub use crate::snapshot::EstimateSnapshot;
-    pub use crate::wire::{self, Report, WireError};
+    pub use crate::wire::{self, Report, ReportRuns, WireError};
 }

@@ -208,14 +208,30 @@ pub fn encode_record(report: &Report, out: &mut Vec<u8>) -> Result<(), WireError
 /// Decode one 20-byte record, validating every field.
 pub fn decode_record(bytes: &[u8]) -> Result<Report, WireError> {
     assert_eq!(bytes.len(), RECORD_LEN, "record slice must be RECORD_LEN");
-    let mut reader = Reader::new(bytes);
-    let key = take_spec_key(&mut reader).map_err(|error| match error {
+    let (key, output) = split_record(bytes);
+    Report::new(decode_key(&key)?, output)
+}
+
+/// A record's 16 key bytes and its output.
+fn split_record(bytes: &[u8]) -> ([u8; cpm_wire::SPEC_KEY_LEN], u32) {
+    let (key, output) = bytes.split_at(cpm_wire::SPEC_KEY_LEN);
+    (
+        key.try_into().expect("RECORD_LEN slice carries a key"),
+        u32::from_le_bytes(
+            output
+                .try_into()
+                .expect("RECORD_LEN slice carries the output"),
+        ),
+    )
+}
+
+/// Decode and validate one record's key bytes.
+fn decode_key(bytes: &[u8; cpm_wire::SPEC_KEY_LEN]) -> Result<SpecKey, WireError> {
+    take_spec_key(&mut Reader::new(bytes)).map_err(|error| match error {
         SpecKeyError::Key(error) => key_error(error),
-        // The slice is exactly RECORD_LEN, so the 16-byte key cannot truncate.
-        SpecKeyError::Decode(_) => unreachable!("RECORD_LEN slice cannot truncate a key"),
-    })?;
-    let output = u32::take(&mut reader).expect("RECORD_LEN slice carries the output");
-    Report::new(key, output)
+        // The slice is exactly SPEC_KEY_LEN, so the key cannot truncate.
+        SpecKeyError::Decode(_) => unreachable!("SPEC_KEY_LEN bytes cannot truncate a key"),
+    })
 }
 
 /// Encode a batch of reports as one frame payload (header + records), ready to
@@ -235,9 +251,47 @@ pub fn encode_batch(reports: &[Report]) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Decode a frame payload into its reports, validating the header and every
-/// record.
-pub fn decode_batch(payload: &[u8]) -> Result<Vec<Report>, WireError> {
+/// A decoded report frame as runs: maximal stretches of consecutive records
+/// with the same key, their outputs kept in one flat vector.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReportRuns {
+    /// `(key, start)` per run, in frame order.
+    runs: Vec<(SpecKey, usize)>,
+    /// Every record's output, in frame order.
+    outputs: Vec<u32>,
+}
+
+impl ReportRuns {
+    /// Number of reports (records) across all runs.
+    pub fn len(&self) -> usize {
+        self.outputs.len()
+    }
+
+    /// Whether the frame held no records.
+    pub fn is_empty(&self) -> bool {
+        self.outputs.is_empty()
+    }
+
+    /// Each run's key and outputs, in frame order.
+    pub fn iter(&self) -> impl Iterator<Item = (SpecKey, &[u32])> + '_ {
+        self.runs.iter().enumerate().map(|(i, &(key, start))| {
+            let end = self
+                .runs
+                .get(i + 1)
+                .map_or(self.outputs.len(), |&(_, next)| next);
+            (key, &self.outputs[start..end])
+        })
+    }
+}
+
+/// Decode a frame payload into its runs of equal keys, validating the header
+/// and every record.
+///
+/// A record whose 16 key bytes equal the previous record's reuses that
+/// already-validated key (equal bytes decode to an equal key), so a
+/// single-key frame validates its key once.  Every output is still
+/// range-checked against its key.
+pub fn decode_runs(payload: &[u8]) -> Result<ReportRuns, WireError> {
     if !is_report_frame(payload) {
         return Err(WireError::BadMagic);
     }
@@ -259,9 +313,37 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<Report>, WireError> {
             len: payload.len(),
         });
     }
-    let mut reports = Vec::with_capacity(count as usize);
-    for chunk in payload[HEADER_LEN..].chunks_exact(RECORD_LEN) {
-        reports.push(decode_record(chunk)?);
+    let mut decoded = ReportRuns {
+        runs: Vec::new(),
+        outputs: Vec::with_capacity(count as usize),
+    };
+    let mut run: Option<([u8; cpm_wire::SPEC_KEY_LEN], SpecKey)> = None;
+    for record in payload[HEADER_LEN..].chunks_exact(RECORD_LEN) {
+        let (key_bytes, output) = split_record(record);
+        let key = match &run {
+            Some((run_bytes, key)) if *run_bytes == key_bytes => *key,
+            _ => {
+                let key = decode_key(&key_bytes)?;
+                run = Some((key_bytes, key));
+                decoded.runs.push((key, decoded.outputs.len()));
+                key
+            }
+        };
+        if output as usize > key.n {
+            return Err(WireError::OutputOutOfRange { output, n: key.n });
+        }
+        decoded.outputs.push(output);
+    }
+    Ok(decoded)
+}
+
+/// Decode a frame payload into its reports, validating the header and every
+/// record (see [`decode_runs`]).
+pub fn decode_batch(payload: &[u8]) -> Result<Vec<Report>, WireError> {
+    let runs = decode_runs(payload)?;
+    let mut reports = Vec::with_capacity(runs.len());
+    for (key, outputs) in runs.iter() {
+        reports.extend(outputs.iter().map(|&output| Report { key, output }));
     }
     Ok(reports)
 }
@@ -432,6 +514,111 @@ mod tests {
         let mut payload = encode_batch(&[base]).unwrap();
         payload[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&0u32.to_le_bytes());
         assert_eq!(decode_batch(&payload), Err(WireError::InvalidGroupSize));
+    }
+
+    /// Five records of one n = 8 key: a valid run of three, then record 3
+    /// altered by `corrupt` (its `n` left as is), then one more valid record.
+    fn interrupted_run(corrupt: impl Fn(&mut [u8])) -> Vec<u8> {
+        let base = Report::new(keyed(8, 0.9, ObjectiveKey::L0), 1).unwrap();
+        let mut payload = encode_batch(&[base; 5]).unwrap();
+        let record = HEADER_LEN + 3 * RECORD_LEN;
+        corrupt(&mut payload[record..record + RECORD_LEN]);
+        payload
+    }
+
+    #[test]
+    fn a_corrupt_key_inside_a_run_still_fails_with_its_field_error() {
+        // NaN α bits: the record's n equals the run's, its key bytes do not.
+        let payload = interrupted_run(|record| {
+            record[4..12].copy_from_slice(&f64::NAN.to_bits().to_le_bytes())
+        });
+        assert!(matches!(
+            decode_batch(&payload),
+            Err(WireError::InvalidAlpha(v)) if v.is_nan()
+        ));
+        // Property bits >= 128.
+        let payload = interrupted_run(|record| record[12] = 0x80);
+        assert_eq!(
+            decode_batch(&payload),
+            Err(WireError::InvalidProperties(0x80))
+        );
+        // L0,d with d > n.
+        let payload = interrupted_run(|record| {
+            record[13] = 3;
+            record[14..16].copy_from_slice(&9u16.to_le_bytes());
+        });
+        assert_eq!(
+            decode_batch(&payload),
+            Err(WireError::DistanceTooLarge { d: 9, n: 8 })
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_output_inside_a_run_is_refused() {
+        let payload = interrupted_run(|record| record[16..20].copy_from_slice(&9u32.to_le_bytes()));
+        assert_eq!(
+            decode_batch(&payload),
+            Err(WireError::OutputOutOfRange { output: 9, n: 8 })
+        );
+        // The run's key is reused, so its n still bounds the output exactly.
+        let payload = interrupted_run(|record| record[16..20].copy_from_slice(&8u32.to_le_bytes()));
+        assert_eq!(decode_batch(&payload).unwrap()[3].output, 8);
+    }
+
+    #[test]
+    fn alternating_keys_decode_record_by_record() {
+        let (a, b) = (key(4, 0.5), keyed(4, 0.5, ObjectiveKey::L1));
+        let reports: Vec<Report> = (0..40)
+            .map(|i| Report::new(if i % 2 == 0 { a } else { b }, i % 5).unwrap())
+            .collect();
+        assert_eq!(
+            decode_batch(&encode_batch(&reports).unwrap()).unwrap(),
+            reports
+        );
+        // A bad key after a run of its alternate is still caught.
+        let mut payload = encode_batch(&reports).unwrap();
+        payload[HEADER_LEN + 7 * RECORD_LEN + 12] = 0xFF;
+        assert_eq!(
+            decode_batch(&payload),
+            Err(WireError::InvalidProperties(0xFF))
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn batches_round_trip_over_random_key_runs(
+            runs in proptest::collection::vec((0usize..5, 1usize..24, 0u32..1000), 0..20),
+        ) {
+            let keys = [
+                key(8, 0.9),
+                key(8, 0.5),
+                keyed(8, 0.9, ObjectiveKey::L1),
+                keyed(16, 0.3, ObjectiveKey::L0Beyond(2)),
+                SpecKey::new(
+                    8,
+                    Alpha::new(0.9).unwrap(),
+                    PropertySet::empty().with(Property::Fairness),
+                ),
+            ];
+            let mut reports = Vec::new();
+            for &(which, length, salt) in &runs {
+                let k = keys[which];
+                for i in 0..length as u32 {
+                    let output = (salt + i * 7) % (k.n as u32 + 1);
+                    reports.push(Report::new(k, output).unwrap());
+                }
+            }
+            let payload = encode_batch(&reports).unwrap();
+            let decoded = decode_batch(&payload).unwrap();
+            proptest::prop_assert_eq!(&decoded, &reports);
+            // The runs are maximal: neighbouring runs never share a key.
+            let runs = decode_runs(&payload).unwrap();
+            let keys: Vec<SpecKey> = runs.iter().map(|(key, _)| key).collect();
+            proptest::prop_assert!(keys.windows(2).all(|pair| pair[0] != pair[1]));
+            proptest::prop_assert_eq!(runs.len(), reports.len());
+        }
     }
 
     #[test]

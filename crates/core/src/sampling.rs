@@ -104,10 +104,10 @@ impl MechanismSampler {
 ///
 /// Construction is `O(dim)` per column (Vose's two-stack method).  A draw splits a
 /// single uniform into a bucket index and an acceptance fraction, then makes at
-/// most one comparison — no binary search, no dependence on `n`.  The tables live
-/// in two **`dim`-strided buffers** mirroring [`MechanismSampler`]'s layout:
-/// column `j` occupies `prob[j * dim .. (j + 1) * dim]` (acceptance thresholds)
-/// and the same slice of `alias` (overflow targets).
+/// most one comparison — no binary search, no dependence on `n`.  The table lives
+/// in one **`dim`-strided buffer** mirroring [`MechanismSampler`]'s layout: column
+/// `j` occupies `table[j * dim .. (j + 1) * dim]`, and each bucket packs its
+/// acceptance threshold beside its overflow target, so a draw touches one entry.
 ///
 /// The sampler realises the same distribution as the CDF sampler for the same
 /// mechanism (same drift renormalisation, construction is exact up to a few ulps
@@ -116,13 +116,17 @@ impl MechanismSampler {
 #[derive(Debug, Clone)]
 pub struct AliasSampler {
     dim: usize,
-    /// Flattened column-major acceptance thresholds: bucket `b` of column `j` is
-    /// accepted (yielding output `b`) when the acceptance fraction is below
-    /// `prob[j * dim + b]`.
-    prob: Vec<f64>,
-    /// Flattened column-major alias targets: bucket `b` of column `j` yields
-    /// `alias[j * dim + b]` when the acceptance test fails.
-    alias: Vec<u32>,
+    /// Flattened column-major buckets: bucket `b` of column `j` is
+    /// `table[j * dim + b]`.
+    table: Vec<AliasBucket>,
+}
+
+/// One alias-table bucket: the draw yields the bucket's own output when the
+/// acceptance fraction is below `threshold`, and `alias` otherwise.
+#[derive(Debug, Clone, Copy)]
+struct AliasBucket {
+    threshold: f64,
+    alias: u32,
 }
 
 impl AliasSampler {
@@ -130,8 +134,13 @@ impl AliasSampler {
     pub fn new(mechanism: &Mechanism) -> Self {
         let dim = mechanism.dim();
         debug_assert!(dim <= u32::MAX as usize, "alias targets are stored as u32");
-        let mut prob = vec![0.0f64; dim * dim];
-        let mut alias = vec![0u32; dim * dim];
+        let mut table = vec![
+            AliasBucket {
+                threshold: 0.0,
+                alias: 0
+            };
+            dim * dim
+        ];
         // Scratch reused across columns: scaled weights and the two Vose stacks.
         let mut scaled = vec![0.0f64; dim];
         let mut small: Vec<u32> = Vec::with_capacity(dim);
@@ -145,10 +154,10 @@ impl AliasSampler {
                 // — the two samplers must realise the same distribution even
                 // on unvalidated input.
                 let last = (dim - 1) as u32;
-                for b in 0..dim {
-                    alias[column + b] = last;
+                for bucket in &mut table[column..column + dim] {
+                    bucket.alias = last;
                 }
-                prob[column + dim - 1] = 1.0;
+                table[column + dim - 1].threshold = 1.0;
                 continue;
             }
             // Same renormalisation policy as the CDF sampler so the two samplers
@@ -170,8 +179,10 @@ impl AliasSampler {
             }
             while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
                 small.pop();
-                prob[column + s as usize] = scaled[s as usize];
-                alias[column + s as usize] = l;
+                table[column + s as usize] = AliasBucket {
+                    threshold: scaled[s as usize],
+                    alias: l,
+                };
                 // The donor keeps what is left after topping the small bucket up to
                 // exactly 1; computed as (w_l - (1 - w_s)) for better cancellation.
                 scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
@@ -183,11 +194,13 @@ impl AliasSampler {
             // Leftovers on either stack hold (up to rounding) exactly weight 1:
             // they accept unconditionally and never use their alias slot.
             for &i in large.iter().chain(small.iter()) {
-                prob[column + i as usize] = 1.0;
-                alias[column + i as usize] = i;
+                table[column + i as usize] = AliasBucket {
+                    threshold: 1.0,
+                    alias: i,
+                };
             }
         }
-        AliasSampler { dim, prob, alias }
+        AliasSampler { dim, table }
     }
 
     /// Number of possible outputs (`n + 1`).
@@ -196,6 +209,7 @@ impl AliasSampler {
     }
 
     /// Draw one output for the true count `input` — `O(1)`.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, input: usize, rng: &mut R) -> usize {
         self.sample_from_uniform(input, rng.gen())
     }
@@ -205,16 +219,17 @@ impl AliasSampler {
     /// `u * dim` is split into an integer bucket and a fractional acceptance test;
     /// the two parts of a single uniform are independent, so one `f64` per draw
     /// suffices (the same budget as [`MechanismSampler::sample_from_uniform`]).
+    /// The accept/alias choice is a select, not a branch: the acceptance test is
+    /// a coin flip a branch predictor cannot learn.
+    #[inline]
     pub fn sample_from_uniform(&self, input: usize, u: f64) -> usize {
         let scaled = u * self.dim as f64;
-        let bucket = (scaled as usize).min(self.dim - 1);
-        let fraction = scaled - bucket as f64;
-        let at = input * self.dim + bucket;
-        if fraction < self.prob[at] {
-            bucket
-        } else {
-            self.alias[at] as usize
-        }
+        // `dim` fits u32 (alias targets are u32), so truncating through u32
+        // yields the same bucket as through usize, with cheaper conversions.
+        let bucket = (scaled as u32).min(self.dim as u32 - 1);
+        let fraction = scaled - f64::from(bucket);
+        let entry = self.table[input * self.dim + bucket as usize];
+        std::hint::select_unpredictable(fraction < entry.threshold, bucket, entry.alias) as usize
     }
 
     /// Privatise a slice of true counts, drawing one output per count.
@@ -223,17 +238,16 @@ impl AliasSampler {
     }
 
     /// Reconstruct the exact probability mass this table assigns to each output of
-    /// `input`: bucket `b` contributes `prob[b] / dim` to output `b` and
-    /// `(1 - prob[b]) / dim` to `alias[b]`.  Used by the differential tests to
+    /// `input`: bucket `b` contributes `threshold / dim` to output `b` and
+    /// `(1 - threshold) / dim` to its alias.  Used by the differential tests to
     /// verify distribution equivalence with the source column without sampling.
     pub fn implied_pmf(&self, input: usize) -> Vec<f64> {
         let mut pmf = vec![0.0f64; self.dim];
         let inv_dim = 1.0 / self.dim as f64;
-        let column = input * self.dim;
-        for b in 0..self.dim {
-            let p = self.prob[column + b];
-            pmf[b] += p * inv_dim;
-            pmf[self.alias[column + b] as usize] += (1.0 - p) * inv_dim;
+        let column = &self.table[input * self.dim..(input + 1) * self.dim];
+        for (b, entry) in column.iter().enumerate() {
+            pmf[b] += entry.threshold * inv_dim;
+            pmf[entry.alias as usize] += (1.0 - entry.threshold) * inv_dim;
         }
         pmf
     }
@@ -417,6 +431,72 @@ mod tests {
         let pmf = alias.implied_pmf(1);
         assert_eq!(pmf[n], 1.0);
         assert!(pmf[..n].iter().all(|&mass| mass == 0.0));
+    }
+
+    /// The draw as it was written before the table was packed and the select
+    /// made branch-free: the reference the inlined kernel must match exactly.
+    fn reference_draw(sampler: &AliasSampler, input: usize, u: f64) -> usize {
+        let scaled = u * sampler.dim as f64;
+        let bucket = (scaled as usize).min(sampler.dim - 1);
+        let fraction = scaled - bucket as f64;
+        let at = input * sampler.dim + bucket;
+        if fraction < sampler.table[at].threshold {
+            bucket
+        } else {
+            sampler.table[at].alias as usize
+        }
+    }
+
+    #[test]
+    fn inlined_kernel_matches_the_reference_draw_on_every_edge() {
+        use crate::design::MechanismSpec;
+        use crate::properties::{Property, PropertySet};
+        for (n, alpha) in [(6usize, 2.0 / 3.0), (16, 0.9)] {
+            let design = |properties: PropertySet| {
+                MechanismSpec::new(n, a(alpha))
+                    .properties(properties)
+                    .build()
+                    .unwrap()
+                    .design()
+                    .unwrap()
+                    .into_mechanism()
+            };
+            let mechanisms = [
+                ("GM", design(PropertySet::empty())),
+                (
+                    "WM",
+                    design(PropertySet::empty().with(Property::ColumnMonotonicity)),
+                ),
+                (
+                    "Fair",
+                    design(PropertySet::empty().with(Property::Fairness)),
+                ),
+            ];
+            for (name, mechanism) in &mechanisms {
+                let sampler = AliasSampler::new(mechanism);
+                let dim = sampler.dim();
+                // 0, every bucket edge k/dim and its float neighbours, the
+                // largest f64 below 1, and a fine regular grid in between.
+                let mut grid = vec![0.0, f64::from_bits(1.0f64.to_bits() - 1)];
+                for k in 0..=dim {
+                    let edge = k as f64 / dim as f64;
+                    grid.push(edge);
+                    grid.push(f64::from_bits(edge.to_bits().saturating_sub(1)));
+                    grid.push(f64::from_bits(edge.to_bits() + 1));
+                }
+                grid.extend((0..4096).map(|i| i as f64 / 4096.0));
+                grid.retain(|u| (0.0..1.0).contains(u));
+                for input in 0..dim {
+                    for &u in &grid {
+                        assert_eq!(
+                            sampler.sample_from_uniform(input, u),
+                            reference_draw(&sampler, input, u),
+                            "{name} n={n} alpha={alpha} input={input} u={u:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,23 @@
-//! The batch privatization engine: group → design → shard → draw.
+//! The privatization engine: resolve the design, cut into chunks, draw.
 //!
-//! [`Engine::privatize_batch`] takes a mixed batch of requests, groups them by
-//! mechanism key, resolves every distinct key through the [`DesignCache`]
-//! (cold keys fan out across the [`cpm_eval::par`] worker pool and coalesce via
-//! single flight), then shards the draws themselves across the same pool.  Each
-//! sampling shard owns a dedicated RNG stream seeded from
-//! `(engine seed, batch id, stream ordinal)`, so a batch's outputs are a pure
-//! function of its contents and seeds — reproducible regardless of how the OS
-//! schedules the workers — while distinct shards draw from decorrelated streams.
+//! Every privatize path ends in one per-key sampling core.  For one key it
+//! validates the inputs, resolves the design with one cache peek (designing
+//! on a miss), cuts the inputs into `min_chunk` chunks, and lets chunk `s`
+//! draw from its own RNG stream `s` straight into its disjoint slice of the
+//! output vector; more than one chunk fans out across the [`cpm_eval::par`]
+//! pool.  Streams are seeded from `(engine seed, batch id, stream ordinal)`,
+//! so a batch's outputs are a pure function of its contents and seeds —
+//! reproducible regardless of how the OS schedules the workers — while
+//! distinct chunks draw from decorrelated streams.
+//!
+//! * [`Engine::privatize_key`] is the core itself: the wire `privatize` op
+//!   (one key, a slice of inputs) calls it directly.
+//! * [`Engine::privatize_batch`] takes a mixed batch of [`Request`]s, groups
+//!   them by key in order of first appearance, resolves every distinct key
+//!   (cold keys design concurrently and coalesce via single flight), and cuts
+//!   each group with the same chunk kernel, the stream ordinal running on
+//!   across groups.  A single-key batch therefore draws exactly what
+//!   [`Engine::privatize_key`] draws for the same inputs and seed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use cpm_collect::ReportCollector;
-use cpm_core::{DesignedMechanism, SpecKey};
+use cpm_core::{AliasSampler, DesignedMechanism, SpecKey};
 
 use crate::cache::{CacheStats, DesignCache, Lookup};
 use crate::error::ServeError;
@@ -123,6 +133,20 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
+    /// Tally how one distinct key's design was found.
+    fn count_lookup(&mut self, design: &DesignedMechanism, lookup: Lookup) {
+        match lookup {
+            Lookup::Hit => self.cache_hits += 1,
+            Lookup::Coalesced => self.coalesced += 1,
+            Lookup::Designed => {
+                self.cache_misses += 1;
+                if design.used_lp() {
+                    self.lp_solves += 1;
+                }
+            }
+        }
+    }
+
     /// Draws per second achieved by the sampling phase (0 when empty/instant).
     pub fn draws_per_sec(&self) -> f64 {
         let secs = self.sample_time.as_secs_f64();
@@ -229,14 +253,18 @@ impl Engine {
     /// and a monotone batch ordinal (two *consecutive* identical batches draw
     /// from different streams; use [`Engine::privatize_batch_seeded`] to replay).
     pub fn privatize_batch(&self, requests: &[Request]) -> Result<BatchOutcome, ServeError> {
-        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
-        self.privatize_batch_seeded(requests, splitmix64(self.seed ^ splitmix64(batch)))
+        self.privatize_batch_seeded(requests, self.next_batch_seed())
     }
 
     /// Privatise a batch with an explicit stream seed: the outputs are a pure
     /// function of `(requests, batch_seed, min_chunk)` — independent of worker
     /// count and scheduling — the reproducibility contract used by the tests and
     /// by replayable deployments.
+    ///
+    /// Keys are grouped in order of first appearance and each group is cut
+    /// into chunks by [`Engine::privatize_key_seeded`]'s chunk kernel, the
+    /// stream ordinal running on across groups; all chunks of all groups then
+    /// draw in one fan-out.
     pub fn privatize_batch_seeded(
         &self,
         requests: &[Request],
@@ -250,13 +278,7 @@ impl Engine {
         }
         let batch_span = cpm_obs::span!("engine", "privatize_batch");
         for (index, request) in requests.iter().enumerate() {
-            if request.input > request.key.n {
-                return Err(ServeError::InvalidInput {
-                    index,
-                    input: request.input,
-                    n: request.key.n,
-                });
-            }
+            check_input(&request.key, index, request.input)?;
         }
 
         let groups = group_by_key(requests);
@@ -288,69 +310,45 @@ impl Engine {
             .into_iter()
             .map(|entry| entry.expect("every distinct key is resolved by peek or get"))
             .collect();
-        let design_time = design_start.elapsed();
 
         let mut stats = BatchStats {
             requests: requests.len(),
             unique_keys: groups.len(),
-            design_time,
+            design_time: design_start.elapsed(),
             ..BatchStats::default()
         };
         for (design, lookup) in &resolved {
-            match lookup {
-                Lookup::Hit => stats.cache_hits += 1,
-                Lookup::Coalesced => stats.coalesced += 1,
-                Lookup::Designed => {
-                    stats.cache_misses += 1;
-                    if design.used_lp() {
-                        stats.lp_solves += 1;
-                    }
-                }
-            }
+            stats.count_lookup(design, *lookup);
         }
 
-        // Sampling phase: split each group into shards of `min_chunk` draws, one
-        // dedicated RNG stream per shard.  The chunk layout depends only on the
-        // batch contents and `min_chunk` — NOT on the worker count — so outputs
-        // are identical whether the pool has 1 thread or 64.
-        let mut tasks: Vec<(&DesignedMechanism, &[u32], u64)> = Vec::new();
+        // Sampling phase: gather the inputs group by group, cut every group
+        // into chunks with the per-key kernel (stream ordinals carried across
+        // groups), draw all chunks in one fan-out, and put each output back in
+        // request order.
+        let mut inputs: Vec<usize> = Vec::with_capacity(requests.len());
+        for (_, indices) in &groups {
+            inputs.extend(indices.iter().map(|&index| requests[index as usize].input));
+        }
+        let mut drawn = vec![0usize; requests.len()];
+        let mut chunks: Vec<Chunk<'_>> = Vec::new();
+        let (mut rest_in, mut rest_out) = (inputs.as_slice(), drawn.as_mut_slice());
         for ((_, indices), (design, _)) in groups.iter().zip(&resolved) {
-            for chunk in indices.chunks(self.min_chunk) {
-                let stream = tasks.len() as u64;
-                tasks.push((design, chunk, stream));
-            }
+            let (group_in, next_in) = rest_in.split_at(indices.len());
+            let (group_out, next_out) = rest_out.split_at_mut(indices.len());
+            self.cut_chunks(design.alias_sampler(), group_in, group_out, &mut chunks);
+            (rest_in, rest_out) = (next_in, next_out);
         }
-        stats.sample_chunks = tasks.len();
-
-        let sample_start = Instant::now();
-        let chunk_outputs = cpm_eval::par::parallel_map(tasks, |(design, indices, stream)| {
-            // Per-chunk timing is what the thread-scaling probe reads: each
-            // chunk runs on one worker, so the chunk-latency histogram is the
-            // per-thread view of the sampling phase.
-            let chunk_start = Instant::now();
-            let mut rng = StdRng::seed_from_u64(splitmix64(
-                batch_seed ^ (stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ));
-            let sampler = design.alias_sampler();
-            let drawn: Vec<usize> = indices
-                .iter()
-                .map(|&index| sampler.sample(requests[index as usize].input, &mut rng))
-                .collect();
-            cpm_obs::histogram!("cpm_engine_chunk_nanos").record_duration(chunk_start.elapsed());
-            (indices, drawn)
-        });
-        stats.sample_time = sample_start.elapsed();
-
+        stats.sample_chunks = chunks.len();
+        stats.sample_time = draw_chunks(batch_seed, chunks);
         let mut outputs = vec![0usize; requests.len()];
-        for (indices, drawn) in chunk_outputs {
-            for (&index, output) in indices.iter().zip(drawn) {
-                outputs[index as usize] = output;
-            }
+        let group_major = groups.iter().flat_map(|(_, indices)| indices);
+        for (&index, output) in group_major.zip(drawn) {
+            outputs[index as usize] = output;
         }
 
         // Loopback collection: feed (key, output) runs into the collector so
         // an estimate can be served without a client-side report round trip.
-        if self.collect_outputs.load(Ordering::Relaxed) {
+        if self.is_collecting() {
             let mut start = 0;
             while start < requests.len() {
                 let key = requests[start].key;
@@ -364,12 +362,149 @@ impl Engine {
             }
         }
 
-        cpm_obs::counter!("cpm_engine_batches_total").inc();
-        cpm_obs::counter!("cpm_engine_draws_total").add(stats.requests as u64);
-        cpm_obs::histogram!("cpm_engine_batch_nanos").record(batch_span.elapsed_nanos());
-        cpm_obs::histogram!("cpm_engine_draws_per_sec").record(stats.draws_per_sec() as u64);
+        record_batch(&batch_span, &stats);
         Ok(BatchOutcome { outputs, stats })
     }
+
+    /// Privatise `inputs` for one key — the wire `privatize` op.  Streams are
+    /// derived like [`Engine::privatize_batch`]'s, from the same batch
+    /// ordinal, so a single-key batch draws the same outputs either way.
+    pub fn privatize_key(
+        &self,
+        key: &SpecKey,
+        inputs: &[usize],
+    ) -> Result<BatchOutcome, ServeError> {
+        self.privatize_key_seeded(key, inputs, self.next_batch_seed())
+    }
+
+    /// The one per-key sampling core: validate the inputs, resolve the design
+    /// with one cache peek (designing on a miss), cut the inputs into
+    /// `min_chunk` chunks, and let chunk `s` draw from stream `s` straight
+    /// into its own slice of the output vector.  The outputs equal
+    /// [`Engine::privatize_batch_seeded`]'s for the same single-key batch.
+    pub fn privatize_key_seeded(
+        &self,
+        key: &SpecKey,
+        inputs: &[usize],
+        batch_seed: u64,
+    ) -> Result<BatchOutcome, ServeError> {
+        if inputs.is_empty() {
+            return Ok(BatchOutcome {
+                outputs: Vec::new(),
+                stats: BatchStats::default(),
+            });
+        }
+        let batch_span = cpm_obs::span!("engine", "privatize_batch");
+        for (index, &input) in inputs.iter().enumerate() {
+            check_input(key, index, input)?;
+        }
+
+        let design_start = Instant::now();
+        let (design, lookup) = match self.cache.peek(key) {
+            Some(design) => (design, Lookup::Hit),
+            None => self.cache.get_with_outcome(key)?,
+        };
+        let mut stats = BatchStats {
+            requests: inputs.len(),
+            unique_keys: 1,
+            design_time: design_start.elapsed(),
+            ..BatchStats::default()
+        };
+        stats.count_lookup(&design, lookup);
+
+        let mut outputs = vec![0usize; inputs.len()];
+        let mut chunks = Vec::new();
+        self.cut_chunks(design.alias_sampler(), inputs, &mut outputs, &mut chunks);
+        stats.sample_chunks = chunks.len();
+        stats.sample_time = draw_chunks(batch_seed, chunks);
+
+        if self.is_collecting() {
+            self.collector.ingest_batch(key, outputs.iter().copied());
+        }
+        record_batch(&batch_span, &stats);
+        Ok(BatchOutcome { outputs, stats })
+    }
+
+    /// The stream seed of the next unseeded batch.
+    fn next_batch_seed(&self) -> u64 {
+        let batch = self.batches.fetch_add(1, Ordering::Relaxed);
+        splitmix64(self.seed ^ splitmix64(batch))
+    }
+
+    /// The chunk kernel: cut one key's inputs (and the matching output slice)
+    /// into `min_chunk` chunks, numbering their streams on from the chunks
+    /// already in `chunks`.  The layout depends only on the inputs and
+    /// `min_chunk` — NOT on the worker count — so outputs are identical
+    /// whether the pool has 1 thread or 64.
+    fn cut_chunks<'a>(
+        &self,
+        sampler: &'a AliasSampler,
+        inputs: &'a [usize],
+        outputs: &'a mut [usize],
+        chunks: &mut Vec<Chunk<'a>>,
+    ) {
+        for (inputs, outputs) in inputs
+            .chunks(self.min_chunk)
+            .zip(outputs.chunks_mut(self.min_chunk))
+        {
+            let stream = chunks.len() as u64;
+            chunks.push(Chunk {
+                sampler,
+                stream,
+                inputs,
+                outputs,
+            });
+        }
+    }
+}
+
+/// One sampling shard: `inputs` drawn from `sampler` on RNG stream `stream`,
+/// written to the disjoint `outputs` slice of the same length.
+struct Chunk<'a> {
+    sampler: &'a AliasSampler,
+    stream: u64,
+    inputs: &'a [usize],
+    outputs: &'a mut [usize],
+}
+
+/// Draw every chunk, fanning out across the pool when there is more than one,
+/// and return the wall time the draws took.
+fn draw_chunks(batch_seed: u64, chunks: Vec<Chunk<'_>>) -> Duration {
+    let sample_start = Instant::now();
+    cpm_eval::par::parallel_map(chunks, |chunk| {
+        // Per-chunk timing is what the thread-scaling probe reads: each chunk
+        // runs on one worker, so the chunk-latency histogram is the
+        // per-thread view of the sampling phase.
+        let chunk_start = Instant::now();
+        let mut rng = StdRng::seed_from_u64(splitmix64(
+            batch_seed ^ (chunk.stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ));
+        for (output, &input) in chunk.outputs.iter_mut().zip(chunk.inputs) {
+            *output = chunk.sampler.sample(input, &mut rng);
+        }
+        cpm_obs::histogram!("cpm_engine_chunk_nanos").record_duration(chunk_start.elapsed());
+    });
+    sample_start.elapsed()
+}
+
+/// Refuse an input outside `0..=key.n`.
+fn check_input(key: &SpecKey, index: usize, input: usize) -> Result<(), ServeError> {
+    if input > key.n {
+        return Err(ServeError::InvalidInput {
+            index,
+            input,
+            n: key.n,
+        });
+    }
+    Ok(())
+}
+
+/// The per-batch engine metrics.
+fn record_batch(batch_span: &cpm_obs::SpanGuard, stats: &BatchStats) {
+    cpm_obs::counter!("cpm_engine_batches_total").inc();
+    cpm_obs::counter!("cpm_engine_draws_total").add(stats.requests as u64);
+    cpm_obs::histogram!("cpm_engine_batch_nanos").record(batch_span.elapsed_nanos());
+    cpm_obs::histogram!("cpm_engine_draws_per_sec").record(stats.draws_per_sec() as u64);
 }
 
 /// Group request indices by key in one pass, in order of each key's first

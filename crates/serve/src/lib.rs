@@ -37,11 +37,16 @@
 //!            └───────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Batches take the same path in bulk: [`Engine::privatize_batch`] groups
-//! requests by key, resolves every distinct key through the cache (cold LP
-//! solves run concurrently on the [`cpm_eval::par`] pool; concurrent requests
-//! for the *same* cold key coalesce onto one solve), then shards the draws
-//! across the pool with one seeded, reproducible RNG stream per shard.
+//! Draws go through one per-key sampling core ([`Engine::privatize_key`]):
+//! validate the inputs, one cache peek, then cut the inputs into
+//! `min_chunk` chunks, each drawing from its own seeded, reproducible RNG
+//! stream straight into its own slice of the output vector (several chunks
+//! fan out across the [`cpm_eval::par`] pool).  The wire `privatize` op calls
+//! the core directly.  Mixed-key batches ([`Engine::privatize_batch`]) group
+//! requests by key, resolve every distinct key through the cache (cold LP
+//! solves run concurrently on the pool; concurrent requests for the *same*
+//! cold key coalesce onto one solve), then cut each group with the same
+//! chunk kernel.
 //!
 //! ## Serving I/O: reactor + codec split
 //!
@@ -87,8 +92,9 @@
 //!   storing `Arc<DesignedMechanism>` artifacts, with [`DesignCache::warm`]
 //!   precomputation, hit/miss/solve counters, and snapshot
 //!   save/load persistence.
-//! * [`engine`] — [`Engine`]: batched privatization with per-batch
-//!   [`BatchStats`] (hits, misses, design time, sample time).
+//! * [`engine`] — [`Engine`]: the one per-key sampling core and the
+//!   mixed-key batch path over it, with per-batch [`BatchStats`] (hits,
+//!   misses, design time, sample time).
 //! * [`proto`] — the transport-agnostic protocol state machine: bytes in,
 //!   response bytes out.  One dispatcher serves three frame codecs (JSON,
 //!   compact `b"CPMF"` binary, `b"CPMR"` report batches) plus a content-
@@ -121,8 +127,8 @@
 //!   line-rate path — see [`frontend`] for the grammar);
 //! * the JSON `{"op":"report"}` fallback;
 //! * engine loopback — [`Engine::set_collecting`] (or
-//!   `CPM_COLLECT_OUTPUTS=1`) makes `privatize_batch` feed its own outputs
-//!   straight into the collector, closing the loop in one process.
+//!   `CPM_COLLECT_OUTPUTS=1`) makes every privatize call feed its own
+//!   outputs straight into the collector, closing the loop in one process.
 //!
 //! `{"op":"estimate"}` then inverts the designed mechanism matrix over the
 //! accumulated histogram (`cpm_collect::estimate_from_design`, inverse cached

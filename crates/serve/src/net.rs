@@ -415,9 +415,15 @@ impl<A: Acceptor> Reactor<A> {
         let mut read_buf = vec![0u8; 64 * 1024];
         let mut pollfds: Vec<PollFd> = Vec::new();
         let mut tokens: Vec<u64> = Vec::new();
+        // The wake pipe is read, and the injector locked, only when poll
+        // reports a wake-up (and once before the first poll): on a plain I/O
+        // wake both would be a read returning EAGAIN and an empty queue.
+        let mut woken = true;
         loop {
-            self.drain_wake();
-            self.pull_injected();
+            if woken {
+                self.drain_wake();
+                self.pull_injected();
+            }
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
@@ -464,10 +470,11 @@ impl<A: Acceptor> Reactor<A> {
             }
 
             match poll_ready(&mut pollfds, self.poll_timeout_ms()) {
-                Ok(_) => {}
+                Ok(_) => woken = pollfds[0].readable(),
                 Err(error) => {
                     eprintln!("cpm-serve: poll failed: {error}");
                     std::thread::sleep(Duration::from_millis(10));
+                    woken = true;
                     continue;
                 }
             }
@@ -490,13 +497,14 @@ impl<A: Acceptor> Reactor<A> {
         self.drain();
     }
 
-    /// Consume queued wake-up bytes so the pipe does not stay readable.
+    /// Consume queued wake-up bytes so the pipe does not stay readable (a
+    /// short read has emptied it).
     fn drain_wake(&mut self) {
         let mut buf = [0u8; 256];
         loop {
             match self.wake_rx.read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
+                Ok(n) if n == buf.len() => continue,
+                Ok(_) => return,
                 Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
             }
@@ -686,7 +694,10 @@ impl<A: Acceptor> Reactor<A> {
     }
 }
 
-/// Read everything the socket has, feeding the state machine.
+/// Read what the socket has, feeding the state machine.  A read that does
+/// not fill `buf` drained the socket, so reading stops there instead of
+/// paying for a read that returns `EAGAIN`: poll is level-triggered and
+/// reports anything that arrives later, EOF included.
 fn fill<C: io::Read + io::Write>(engine: &Engine, conn: &mut Conn<C>, buf: &mut [u8]) -> Outcome {
     loop {
         match conn.stream.read(buf) {
@@ -704,8 +715,9 @@ fn fill<C: io::Read + io::Write>(engine: &Engine, conn: &mut Conn<C>, buf: &mut 
                 if let Err(error) = conn.proto.ingest(engine, &buf[..n]) {
                     return Outcome::Close(CloseKind::Error(error.to_string()));
                 }
-                if conn.proto.closing() {
+                if conn.proto.closing() || n < buf.len() {
                     // Post-shutdown bytes are never processed; stop reading.
+                    // A short read left nothing behind.
                     return Outcome::Keep;
                 }
             }

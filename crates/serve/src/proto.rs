@@ -60,7 +60,7 @@ use std::time::Instant;
 use cpm_core::{Alpha, ObjectiveKey, PropertySet, SpecKey};
 use cpm_wire::{put_spec_key, take_spec_key, Reader, Wire};
 
-use crate::engine::{Engine, Request};
+use crate::engine::Engine;
 use crate::frontend::{ConnectionSummary, WireRequest, WireResponse, MAX_FRAME_LEN};
 
 /// Leading bytes of a compact binary request/response frame.
@@ -127,8 +127,8 @@ pub enum Op {
     },
     /// Accumulate a decoded `b"CPMR"` batch (mixed keys).
     ReportBatch(
-        /// The decoded reports.
-        Vec<cpm_collect::Report>,
+        /// The decoded reports, as runs of equal keys.
+        cpm_collect::ReportRuns,
     ),
     /// Invert the design over everything collected for one key.
     Estimate {
@@ -303,18 +303,50 @@ fn put_u32_seq(values: &[usize], out: &mut Vec<u8>) -> Result<(), String> {
             values.len()
         ));
     }
-    (values.len() as u32).put(out);
-    for &value in values {
-        u32::try_from(value)
-            .map_err(|_| format!("value {value} exceeds the u32 wire field"))?
-            .put(out);
+    if let Some(value) = values.iter().find(|&&value| u32::try_from(value).is_err()) {
+        return Err(format!("value {value} exceeds the u32 wire field"));
     }
+    (values.len() as u32).put(out);
+    put_u32_words(values, out);
     Ok(())
 }
 
+/// Append `values` as `u32` little-endian words in one reserved pass; each
+/// value must fit (outputs never exceed a key's `n`).
+fn put_u32_words(values: &[usize], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (word, &value) in out[start..].chunks_exact_mut(4).zip(values) {
+        word.copy_from_slice(&(value as u32).to_le_bytes());
+    }
+}
+
+/// Decode a `u32`-counted `u32` sequence in one bulk pass over its bytes.
+/// Malformed sequences fail with the same [`cpm_wire::DecodeError`] the
+/// element-wise `Vec<u32>` codec reports.
 fn take_u32_seq(reader: &mut Reader<'_>) -> Result<Vec<usize>, String> {
-    let values: Vec<u32> = Vec::take(reader).map_err(|e| e.to_string())?;
-    Ok(values.into_iter().map(|v| v as usize).collect())
+    let count = u32::take(reader).map_err(|e| e.to_string())? as usize;
+    let have = reader.remaining();
+    if count > have {
+        return Err(cpm_wire::DecodeError::LengthOverrun {
+            declared: count,
+            have,
+        }
+        .to_string());
+    }
+    if 4 * count > have {
+        // The element-wise decoder fails on the first word that does not fit.
+        return Err(cpm_wire::DecodeError::Truncated {
+            needed: 4,
+            have: have % 4,
+        }
+        .to_string());
+    }
+    let bytes = reader.bytes(4 * count).map_err(|e| e.to_string())?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|word| u32::from_le_bytes(word.try_into().expect("4-byte word")) as usize)
+        .collect())
 }
 
 /// Decode a spec key and apply the serving [`MAX_WIRE_N`] ceiling — binary
@@ -385,32 +417,46 @@ pub fn decode_request(payload: &[u8]) -> Result<Op, String> {
 /// Encode a response as a `b"CPMF"` response frame payload, mirroring
 /// [`WireResponse`] field-for-field.
 pub fn encode_response(tag: u8, response: &WireResponse) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 64 + response.metrics.len());
+    let mut out = Vec::with_capacity(encoded_response_len(response));
+    encode_response_into(tag, response, &mut out);
+    out
+}
+
+/// An upper bound on [`encode_response`]'s output length: the fixed fields
+/// plus every variable-length one, so encoding never reallocates.
+fn encoded_response_len(response: &WireResponse) -> usize {
+    FRAME_HEADER_LEN
+        + 96
+        + response.error.len()
+        + response.metrics.len()
+        + 4 * response.outputs.len()
+        + 8 * (response.estimates.len() + response.variances.len())
+}
+
+/// Append a response frame payload (see [`encode_response`]) to `out`.
+fn encode_response_into(tag: u8, response: &WireResponse, out: &mut Vec<u8>) {
     out.extend_from_slice(&FRAME_MAGIC);
-    FRAME_VERSION.put(&mut out);
+    FRAME_VERSION.put(out);
     out.push(KIND_RESPONSE);
     out.push(tag);
-    response.ok.put(&mut out);
-    response.error.put(&mut out);
+    response.ok.put(out);
+    response.error.put(out);
     // Outputs fit u32 by construction: the binary codec bounds every key's
     // group size at `cpm_wire::MAX_GROUP_SIZE`, and outputs never exceed `n`.
-    (response.outputs.len() as u32).put(&mut out);
-    for &output in &response.outputs {
-        (output as u32).put(&mut out);
-    }
-    response.cache_hits.put(&mut out);
-    response.cache_misses.put(&mut out);
-    response.design_solves.put(&mut out);
-    response.entries.put(&mut out);
-    response.design_micros.put(&mut out);
-    response.sample_micros.put(&mut out);
-    response.metrics.put(&mut out);
-    response.ingested.put(&mut out);
-    response.rejected.put(&mut out);
-    response.reports.put(&mut out);
-    response.estimates.put(&mut out);
-    response.variances.put(&mut out);
-    out
+    (response.outputs.len() as u32).put(out);
+    put_u32_words(&response.outputs, out);
+    response.cache_hits.put(out);
+    response.cache_misses.put(out);
+    response.design_solves.put(out);
+    response.entries.put(out);
+    response.design_micros.put(out);
+    response.sample_micros.put(out);
+    response.metrics.put(out);
+    response.ingested.put(out);
+    response.rejected.put(out);
+    response.reports.put(out);
+    response.estimates.put(out);
+    response.variances.put(out);
 }
 
 /// Decode a `b"CPMF"` response frame payload into `(op tag, response)` —
@@ -471,29 +517,32 @@ fn failure(message: String) -> WireResponse {
     }
 }
 
-/// Ingest decoded reports under the serving ceiling: records naming a group
-/// size beyond [`MAX_WIRE_N`] are counted as rejected without ever reaching
-/// the collector.  The `CPMR` format admits larger keys than the serve tier
-/// is willing to design, and a key that cannot be designed can never be
-/// estimated — admitting it would only hand the background flusher an
-/// attacker-sized design matrix.
-fn ingest_reports_capped(engine: &Engine, reports: &[cpm_collect::Report]) -> WireResponse {
-    let oversized = reports.iter().filter(|r| r.key.n > MAX_WIRE_N).count() as u64;
-    let summary = if oversized == 0 {
-        engine.collector().ingest_reports(reports)
-    } else {
+/// Ingest decoded report runs under the serving ceiling: runs naming a
+/// group size beyond [`MAX_WIRE_N`] are counted as rejected without ever
+/// reaching the collector.  The `CPMR` format admits larger keys than the
+/// serve tier is willing to design, and a key that cannot be designed can
+/// never be estimated — admitting it would only hand the background flusher
+/// an attacker-sized design matrix.
+fn ingest_runs_capped(engine: &Engine, runs: &cpm_collect::ReportRuns) -> WireResponse {
+    let (mut ingested, mut rejected, mut oversized) = (0, 0, 0);
+    for (key, outputs) in runs.iter() {
+        if key.n > MAX_WIRE_N {
+            oversized += outputs.len() as u64;
+            continue;
+        }
+        let summary = engine
+            .collector()
+            .ingest_batch(&key, outputs.iter().map(|&output| output as usize));
+        ingested += summary.accepted;
+        rejected += summary.rejected;
+    }
+    if oversized > 0 {
         cpm_obs::counter!("cpm_report_oversized_total").add(oversized);
-        let admissible: Vec<cpm_collect::Report> = reports
-            .iter()
-            .filter(|r| r.key.n <= MAX_WIRE_N)
-            .copied()
-            .collect();
-        engine.collector().ingest_reports(&admissible)
-    };
+    }
     WireResponse {
         ok: true,
-        ingested: summary.accepted,
-        rejected: summary.rejected + oversized,
+        ingested,
+        rejected: rejected + oversized,
         ..WireResponse::default()
     }
 }
@@ -548,29 +597,23 @@ pub fn dispatch_op(engine: &Engine, op: &Op) -> (WireResponse, bool) {
 
 pub(crate) fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
     match op {
-        Op::Privatize { key, inputs } => {
-            let batch: Vec<Request> = inputs
-                .iter()
-                .map(|&input| Request::new(*key, input))
-                .collect();
-            match engine.privatize_batch(&batch) {
-                Ok(outcome) => (
-                    WireResponse {
-                        ok: true,
-                        outputs: outcome.outputs,
-                        cache_hits: outcome.stats.cache_hits,
-                        cache_misses: outcome.stats.cache_misses,
-                        design_solves: outcome.stats.cache_misses,
-                        entries: engine.cache().len() as u64,
-                        design_micros: outcome.stats.design_time.as_micros() as u64,
-                        sample_micros: outcome.stats.sample_time.as_micros() as u64,
-                        ..WireResponse::default()
-                    },
-                    false,
-                ),
-                Err(error) => (failure(error.to_string()), false),
-            }
-        }
+        Op::Privatize { key, inputs } => match engine.privatize_key(key, inputs) {
+            Ok(outcome) => (
+                WireResponse {
+                    ok: true,
+                    outputs: outcome.outputs,
+                    cache_hits: outcome.stats.cache_hits,
+                    cache_misses: outcome.stats.cache_misses,
+                    design_solves: outcome.stats.cache_misses,
+                    entries: engine.cache().len() as u64,
+                    design_micros: outcome.stats.design_time.as_micros() as u64,
+                    sample_micros: outcome.stats.sample_time.as_micros() as u64,
+                    ..WireResponse::default()
+                },
+                false,
+            ),
+            Err(error) => (failure(error.to_string()), false),
+        },
         Op::Warm { key } => match engine.warm(&[*key]) {
             Ok(()) => (
                 WireResponse {
@@ -596,7 +639,7 @@ pub(crate) fn dispatch_inner(engine: &Engine, op: &Op) -> (WireResponse, bool) {
                 false,
             )
         }
-        Op::ReportBatch(reports) => (ingest_reports_capped(engine, reports), false),
+        Op::ReportBatch(runs) => (ingest_runs_capped(engine, runs), false),
         Op::Estimate { key } => match engine.collector().observed(key) {
             Some(observed) => {
                 match engine
@@ -786,8 +829,9 @@ enum Mode {
 pub struct ProtoConnection {
     config: ProtoConfig,
     mode: Mode,
+    /// Received bytes not yet processed: at most one partial frame, length
+    /// prefix, or HTTP header.
     inbuf: Vec<u8>,
-    consumed: usize,
     outbuf: Vec<u8>,
     out_cursor: usize,
     closing: bool,
@@ -802,7 +846,6 @@ impl ProtoConnection {
             config,
             mode: Mode::Start,
             inbuf: Vec::new(),
-            consumed: 0,
             outbuf: Vec::new(),
             out_cursor: 0,
             closing: false,
@@ -817,6 +860,10 @@ impl ProtoConnection {
     /// frame.  A hard protocol violation (oversized frame, oversized HTTP
     /// header) is returned — the transport should close the connection; soft
     /// failures are answered in-band and return `Ok`.
+    ///
+    /// Frames are dispatched in place: straight from `bytes` when nothing
+    /// was left over from the last call, otherwise from the leftover buffer
+    /// with `bytes` appended.  Only the unprocessed tail is kept.
     pub fn ingest(&mut self, engine: &Engine, bytes: &[u8]) -> Result<(), ProtoError> {
         if self.closing {
             // Post-close bytes are discarded, never buffered: a peer that
@@ -825,15 +872,29 @@ impl ProtoConnection {
             // buffer without bound.
             return Ok(());
         }
-        self.inbuf.extend_from_slice(bytes);
-        self.pump(engine)
+        if self.inbuf.is_empty() {
+            let used = self.pump(engine, bytes)?;
+            if !self.closing {
+                self.inbuf.extend_from_slice(&bytes[used..]);
+            }
+        } else {
+            let mut buffered = std::mem::take(&mut self.inbuf);
+            buffered.extend_from_slice(bytes);
+            let used = self.pump(engine, &buffered)?;
+            if !self.closing {
+                buffered.drain(..used);
+                // Keep the allocation for the next partial frame.
+                self.inbuf = buffered;
+            }
+        }
+        Ok(())
     }
 
     /// Signal clean EOF from the peer.  Errors if the stream ended inside a
     /// partial frame or header.
     pub fn finish(&mut self) -> Result<(), ProtoError> {
         self.closing = true;
-        if self.consumed < self.inbuf.len() {
+        if !self.inbuf.is_empty() {
             return Err(ProtoError::TruncatedInput);
         }
         Ok(())
@@ -870,24 +931,19 @@ impl ProtoConnection {
         self.summary
     }
 
-    fn pump(&mut self, engine: &Engine) -> Result<(), ProtoError> {
-        loop {
-            if self.closing {
-                // Post-shutdown bytes are never processed (pinned behavior);
-                // drop whatever arrived pipelined behind the closing frame so
-                // the buffer does not outlive its last useful byte.
-                self.consumed = 0;
-                self.inbuf.clear();
-                return Ok(());
-            }
-            let available = self.inbuf.len() - self.consumed;
+    /// Process every complete frame (or the HTTP request) at the front of
+    /// `buf`, returning how many bytes were consumed.  Post-shutdown bytes are
+    /// never processed (pinned behavior): the caller drops them.
+    fn pump(&mut self, engine: &Engine, buf: &[u8]) -> Result<usize, ProtoError> {
+        let mut at = 0;
+        while !self.closing {
+            let available = buf.len() - at;
             match self.mode {
                 Mode::Start => {
                     if available < 4 {
-                        return Ok(());
+                        break;
                     }
-                    let head = &self.inbuf[self.consumed..self.consumed + 4];
-                    if self.config.http_metrics && head == b"GET " {
+                    if self.config.http_metrics && &buf[at..at + 4] == b"GET " {
                         self.mode = Mode::Http;
                     } else {
                         self.mode = Mode::Framed;
@@ -895,53 +951,33 @@ impl ProtoConnection {
                 }
                 Mode::Framed => {
                     if available < 4 {
-                        return Ok(());
+                        break;
                     }
-                    let at = self.consumed;
                     let len =
-                        u32::from_le_bytes(self.inbuf[at..at + 4].try_into().expect("4 bytes"))
-                            as usize;
+                        u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes")) as usize;
                     if len > MAX_FRAME_LEN {
                         return Err(ProtoError::FrameTooLong(len));
                     }
                     if available < 4 + len {
-                        return Ok(());
+                        break;
                     }
-                    // Split the borrow: the frame is copied out so the
-                    // dispatcher can append to outbuf freely.  Frames are
-                    // bounded by MAX_FRAME_LEN, so the copy is bounded too.
-                    let payload: Vec<u8> = self.inbuf[at + 4..at + 4 + len].to_vec();
-                    self.consumed += 4 + len;
-                    self.drain_consumed();
-                    self.process_frame(engine, &payload);
+                    self.process_frame(engine, &buf[at + 4..at + 4 + len]);
+                    at += 4 + len;
                 }
-                Mode::Http => {
-                    let buffered = &self.inbuf[self.consumed..];
-                    match find_header_end(buffered) {
-                        Some(end) => {
-                            let header: Vec<u8> = buffered[..end].to_vec();
-                            self.consumed += end;
-                            self.drain_consumed();
-                            self.process_http(&header);
-                            self.closing = true;
-                        }
-                        None if buffered.len() > MAX_HTTP_HEADER => {
-                            return Err(ProtoError::HttpHeaderTooLong);
-                        }
-                        None => return Ok(()),
+                Mode::Http => match find_header_end(&buf[at..]) {
+                    Some(end) => {
+                        self.process_http(&buf[at..at + end]);
+                        at += end;
+                        self.closing = true;
                     }
-                }
+                    None if available > MAX_HTTP_HEADER => {
+                        return Err(ProtoError::HttpHeaderTooLong);
+                    }
+                    None => break,
+                },
             }
         }
-    }
-
-    /// Reclaim consumed input so a long-lived connection's buffer stays
-    /// proportional to its *unprocessed* bytes, not its lifetime traffic.
-    fn drain_consumed(&mut self) {
-        if self.consumed > 0 {
-            self.inbuf.drain(..self.consumed);
-            self.consumed = 0;
-        }
+        Ok(at)
     }
 
     fn process_frame(&mut self, engine: &Engine, payload: &[u8]) {
@@ -1014,16 +1050,14 @@ impl ProtoConnection {
     /// JSON `report` op's metric discipline (counted on entry, even when the
     /// batch turns out malformed — preserved from the pre-reactor front end).
     fn process_report_frame(&mut self, engine: &Engine, payload: &[u8]) -> WireResponse {
-        metered("report", || {
-            match cpm_collect::wire::decode_batch(payload) {
-                Ok(reports) => match self.rate_limit(reports.len()) {
-                    Some(refused) => refused,
-                    None => ingest_reports_capped(engine, &reports),
-                },
-                Err(error) => {
-                    cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
-                    failure(format!("malformed report frame: {error}"))
-                }
+        metered("report", || match cpm_collect::wire::decode_runs(payload) {
+            Ok(runs) => match self.rate_limit(runs.len()) {
+                Some(refused) => refused,
+                None => ingest_runs_capped(engine, &runs),
+            },
+            Err(error) => {
+                cpm_obs::counter!("cpm_net_frame_decode_errors_total").inc();
+                failure(format!("malformed report frame: {error}"))
             }
         })
     }
@@ -1031,7 +1065,7 @@ impl ProtoConnection {
     fn rate_limit_op(&mut self, op: &Op) -> Option<WireResponse> {
         match op {
             Op::Report { outputs, .. } => self.rate_limit(outputs.len()),
-            Op::ReportBatch(reports) => self.rate_limit(reports.len()),
+            Op::ReportBatch(runs) => self.rate_limit(runs.len()),
             _ => None,
         }
     }
@@ -1050,17 +1084,25 @@ impl ProtoConnection {
         )))
     }
 
+    /// Append one length-prefixed response frame to the output buffer; a
+    /// binary response is encoded straight into it.
     fn write_response(&mut self, codec: Codec, tag: u8, response: &WireResponse) {
-        let payload = match codec {
-            Codec::Json => serde_json::to_string(response)
-                .expect("WireResponse always serializes")
-                .into_bytes(),
-            Codec::Binary => encode_response(tag, response),
-        };
-        debug_assert!(payload.len() <= MAX_FRAME_LEN, "response exceeds frame cap");
-        self.outbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.outbuf.extend_from_slice(&payload);
+        let prefix_at = self.outbuf.len();
+        self.outbuf.extend_from_slice(&[0; 4]);
+        match codec {
+            Codec::Json => {
+                let payload =
+                    serde_json::to_string(response).expect("WireResponse always serializes");
+                self.outbuf.extend_from_slice(payload.as_bytes());
+            }
+            Codec::Binary => {
+                self.outbuf.reserve(encoded_response_len(response));
+                encode_response_into(tag, response, &mut self.outbuf);
+            }
+        }
+        let len = self.outbuf.len() - prefix_at - 4;
+        debug_assert!(len <= MAX_FRAME_LEN, "response exceeds frame cap");
+        self.outbuf[prefix_at..prefix_at + 4].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
     fn process_http(&mut self, header: &[u8]) {
@@ -1146,6 +1188,31 @@ mod tests {
             let payload = encode_request(&op).unwrap();
             assert!(is_binary_frame(&payload));
             assert_eq!(decode_request(&payload).unwrap(), op);
+        }
+    }
+
+    #[test]
+    fn bulk_u32_decode_matches_the_element_wise_codec() {
+        let element_wise = |bytes: &[u8]| -> Result<Vec<usize>, String> {
+            let values: Vec<u32> = Vec::take(&mut Reader::new(bytes)).map_err(|e| e.to_string())?;
+            Ok(values.into_iter().map(|v| v as usize).collect())
+        };
+        let mut good = Vec::new();
+        vec![0u32, 7, 70_000, u32::MAX].put(&mut good);
+        // Every truncation, plus counts that overrun the bytes outright and
+        // counts that fit the bytes but not the words.
+        let mut cases: Vec<Vec<u8>> = (0..=good.len()).map(|cut| good[..cut].to_vec()).collect();
+        for count in [3u32, 5, 9, 1_000] {
+            let mut bytes = good.clone();
+            bytes[..4].copy_from_slice(&count.to_le_bytes());
+            cases.push(bytes);
+        }
+        for bytes in cases {
+            assert_eq!(
+                take_u32_seq(&mut Reader::new(&bytes)),
+                element_wise(&bytes),
+                "{bytes:?}"
+            );
         }
     }
 
@@ -1341,7 +1408,7 @@ mod tests {
                 key,
                 outputs: vec![1],
             },
-            Op::ReportBatch(Vec::new()),
+            Op::ReportBatch(cpm_collect::ReportRuns::default()),
             Op::Estimate { key },
             Op::Stats,
             Op::Metrics,
